@@ -16,8 +16,9 @@ from typing import Callable, Iterable
 import numpy as np
 
 # Graph-construction state is thread-local so concurrent forward passes (the
-# engine's ThreadBackend runs simulations and surrogate evaluations on worker
-# threads) cannot observe a ``no_grad`` entered on another thread.
+# in-process workers of ``python -m repro run --distributed`` and the threaded
+# HTTP API run optimizers beside the study driver) cannot observe a
+# ``no_grad`` entered on another thread.
 _GRAD_STATE = threading.local()
 
 

@@ -6,7 +6,7 @@ process letters scale the :class:`~repro.pdk.Technology` device models (see
 every analysis of the testbench.  :class:`CornerSweep` fans per-corner
 simulations through the same pluggable execution backends the batched
 :class:`~repro.engine.EvaluationEngine` uses, so a five-corner evaluation of
-one design overlaps on thread/process backends exactly like a five-design
+one design overlaps on the process backend exactly like a five-design
 batch would.
 
 :func:`~repro.bench.aggregate.worst_case_metrics` (re-exported here) folds
@@ -152,7 +152,7 @@ class CornerSweep(BackendOwner):
     corners:
         The :class:`CornerSpec` conditions, nominal first by convention.
     backend:
-        Backend name (``"serial"``/``"thread"``/``"process"``), instance or
+        Backend name (``"serial"``/``"batched"``/``"process"``), instance or
         ``None`` for the environment default -- the same resolution rules as
         :class:`~repro.engine.EvaluationEngine`.  Inside an engine worker the
         default resolves to serial, so corner fan-out composes with design

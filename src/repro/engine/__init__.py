@@ -4,7 +4,7 @@ The paper's whole cost model is "number of expensive simulations"; this
 subsystem makes each batch of them as cheap as the hardware allows:
 
 * :mod:`repro.engine.backends` -- pluggable execution strategies
-  (:class:`SerialBackend`, :class:`ThreadBackend`, :class:`ProcessBackend`)
+  (:class:`SerialBackend`, :class:`BatchedBackend`, :class:`ProcessBackend`)
   behind one ordered ``map`` interface;
 * :mod:`repro.engine.cache` -- an exact content-hash design cache with
   hit/miss statistics, so re-proposed designs cost nothing;
@@ -23,7 +23,6 @@ from repro.engine.backends import (
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     available_backends,
     default_backend,
     resolve_backend,
@@ -40,7 +39,6 @@ __all__ = [
     "ExecutionBackend",
     "ProcessBackend",
     "SerialBackend",
-    "ThreadBackend",
     "available_backends",
     "default_backend",
     "evaluate_design_task",

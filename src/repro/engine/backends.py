@@ -2,7 +2,7 @@
 
 A backend is an object with an ordered :meth:`ExecutionBackend.map`: it takes
 a picklable callable and a list of work items and returns the results in
-input order.  Four implementations cover the useful points of the
+input order.  Three implementations cover the useful points of the
 serial/concurrent design space:
 
 * :class:`SerialBackend` -- a plain list comprehension; zero overhead, fully
@@ -14,10 +14,6 @@ serial/concurrent design space:
   simulation (see :func:`repro.spice.dc.dc_operating_point_batch`) instead
   of N independent solves.  Results are bit-identical to serial by
   construction of the batched solver.
-* :class:`ThreadBackend` -- a shared :class:`~concurrent.futures.ThreadPoolExecutor`.
-  The SPICE solves spend most of their time inside numpy/LAPACK calls that
-  release the GIL, so threads already overlap the linear-algebra portion of
-  independent simulations without any pickling cost.
 * :class:`ProcessBackend` -- a :class:`~concurrent.futures.ProcessPoolExecutor`.
   Escapes the GIL entirely (the Newton stamping loops are pure Python and
   hold the GIL), at the price of pickling the problem and results per task.
@@ -33,7 +29,7 @@ from __future__ import annotations
 import os
 import threading
 import warnings
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -43,7 +39,7 @@ R = TypeVar("R")
 BACKEND_ENV_VAR = "REPRO_ENGINE_BACKEND"
 
 #: Set in the environment of ProcessBackend workers so code running inside
-#: them (e.g. a whole optimizer fanned out by ``run_repeated``) resolves its
+#: them (e.g. a whole study seed fanned out by ``run_study``) resolves its
 #: *default* backend to serial instead of recursively spawning ncpu pools of
 #: ncpu workers each.  Explicitly constructed backends are not affected.
 WORKER_ENV_VAR = "REPRO_ENGINE_WORKER"
@@ -51,19 +47,6 @@ WORKER_ENV_VAR = "REPRO_ENGINE_WORKER"
 
 def _mark_worker_process() -> None:  # pragma: no cover - runs in pool workers
     os.environ[WORKER_ENV_VAR] = "1"
-
-
-#: Thread-local analogue of WORKER_ENV_VAR for ThreadBackend workers: code
-#: running on a pool thread that resolves a *default* backend gets serial,
-#: because dispatching inner tasks onto the same (possibly saturated) pool
-#: deadlocks -- every worker would block waiting for tasks that can never be
-#: scheduled.
-_THREAD_WORKER = threading.local()
-
-
-def _in_worker_context() -> bool:
-    return bool(os.environ.get(WORKER_ENV_VAR)) or getattr(_THREAD_WORKER,
-                                                           "active", False)
 
 
 class ExecutionBackend:
@@ -154,7 +137,7 @@ class _PooledBackend(ExecutionBackend):
             return [fn(items[0])]
         # Chunking amortises IPC and -- because pickle memoises within one
         # chunk message -- serialises a problem object shared by the chunk's
-        # items once instead of once per item.  Threads ignore chunksize.
+        # items once instead of once per item.
         chunksize = max(1, len(items) // (self._worker_count() * 4))
         return list(self.executor.map(fn, items, chunksize=chunksize))
 
@@ -169,39 +152,6 @@ class _PooledBackend(ExecutionBackend):
         state = self.__dict__.copy()
         state["_executor"] = None
         return state
-
-
-class ThreadBackend(_PooledBackend):
-    """Run work items on a thread pool.
-
-    Best when the per-design work is dominated by numpy/LAPACK calls (which
-    release the GIL) and the problem object is expensive to pickle.
-    """
-
-    name = "thread"
-
-    def _worker_count(self) -> int:
-        return self.max_workers or min(32, (os.cpu_count() or 1) + 4)
-
-    def _make_executor(self) -> Executor:
-        return ThreadPoolExecutor(max_workers=self._worker_count(),
-                                  thread_name_prefix="repro-engine")
-
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-        def marked(item: T) -> R:
-            # Flag the executing thread for the duration of the task so any
-            # default_backend() resolved inside it degrades to serial
-            # instead of re-entering (and potentially deadlocking) this pool.
-            # Saved/restored because the single-item shortcut runs on the
-            # calling thread, which may itself already be a worker.
-            previous = getattr(_THREAD_WORKER, "active", False)
-            _THREAD_WORKER.active = True
-            try:
-                return fn(item)
-            finally:
-                _THREAD_WORKER.active = previous
-
-        return super().map(marked, items)
 
 
 class ProcessBackend(_PooledBackend):
@@ -223,7 +173,6 @@ class ProcessBackend(_PooledBackend):
 _BACKENDS: dict[str, type[ExecutionBackend]] = {
     SerialBackend.name: SerialBackend,
     BatchedBackend.name: BatchedBackend,
-    ThreadBackend.name: ThreadBackend,
     ProcessBackend.name: ProcessBackend,
 }
 
@@ -272,9 +221,10 @@ class BackendOwner:
     backend (PVT :class:`~repro.bench.CornerSweep`, the Monte Carlo
     :class:`~repro.mc.MonteCarloRunner`):
 
-    * resolution is lazy and lock-guarded -- owners run inside engine thread
-      fan-out, and without the lock two threads could each build a pooled
-      backend and the loser's pool would leak;
+    * resolution is lazy and lock-guarded -- owners can be shared by
+      concurrent threads (the ``--distributed`` in-process workers, the
+      threaded HTTP API), and without the lock two threads could each build
+      a pooled backend and the loser's pool would leak;
     * :meth:`close` is idempotent and the owner is a context manager, so
       ``with`` blocks are a first-class release path next to
       ``OptimizationProblem.close()``;
@@ -371,10 +321,8 @@ def default_backend(max_workers: int | None = None) -> ExecutionBackend:
     Serial unless the ``REPRO_ENGINE_BACKEND`` environment variable names
     another backend, which lets deployments opt whole experiment scripts into
     parallel evaluation without touching call sites.  Inside a
-    :class:`ProcessBackend` worker process or on a :class:`ThreadBackend`
-    worker thread the default is always serial, so fanned-out optimizers
-    cannot recursively spawn pools of pools (or deadlock a thread pool by
-    re-entering it from its own workers).
+    :class:`ProcessBackend` worker process the default is always serial, so
+    fanned-out optimizers cannot recursively spawn pools of pools.
 
     Pooled defaults are process-wide singletons: every problem whose engine
     was created implicitly shares one pool (shutting it down is safe -- the
@@ -382,7 +330,7 @@ def default_backend(max_workers: int | None = None) -> ExecutionBackend:
     for a specific pool size, so it bypasses the singleton and returns a
     private backend; construct a backend explicitly for full control.
     """
-    if _in_worker_context():
+    if os.environ.get(WORKER_ENV_VAR):
         return SerialBackend()
     name = str(os.environ.get(BACKEND_ENV_VAR, SerialBackend.name)).lower()
     if name == SerialBackend.name:

@@ -55,7 +55,8 @@ class DesignCache:
     """LRU cache from design content hash to evaluated design.
 
     All entry and counter mutations happen under one lock, so a cache may be
-    shared between engines whose coordinating threads run concurrently.
+    shared between engines whose coordinating threads run concurrently (the
+    in-process ``--distributed`` workers, the threaded HTTP API).
     (Thread-safety audit: every path that touches ``_entries`` or ``stats``
     -- :meth:`get`, :meth:`put`, :meth:`record_saved_duplicate`,
     :meth:`clear` -- acquires ``_lock`` first; ``stats`` reads outside the

@@ -6,7 +6,7 @@ records":
 
 * **batching** -- the whole batch is dispatched through one
   :class:`~repro.engine.backends.ExecutionBackend` call, so independent
-  simulations overlap on thread/process backends;
+  simulations overlap on the process backend;
 * **caching** -- a content-hash :class:`~repro.engine.cache.DesignCache`
   short-circuits bit-identical designs (including duplicates *within* one
   batch), with hit/miss statistics for reports;
@@ -78,7 +78,7 @@ class EvaluationEngine:
         The sizing problem whose :meth:`~repro.bo.problem.OptimizationProblem.evaluate`
         defines the ground truth for one design.
     backend:
-        Backend name (``"serial"``/``"thread"``/``"process"``), instance, or
+        Backend name (``"serial"``/``"batched"``/``"process"``), instance, or
         ``None`` for the environment default (serial unless
         ``REPRO_ENGINE_BACKEND`` says otherwise).
     cache:

@@ -5,12 +5,7 @@ code serves quick smoke benchmarks and full paper-scale runs (see
 ``EXPERIMENTS.md`` for the mapping and the recorded results).
 """
 
-from repro.experiments.runner import (
-    build_constrained_optimizer,
-    build_fom_optimizer,
-    make_source_model,
-    run_repeated,
-)
+from repro.study.sources import make_source_model
 from repro.experiments.neuk_assessment import run_neuk_assessment
 from repro.experiments.fom_experiment import run_fom_experiment
 from repro.experiments.constrained_experiment import run_constrained_experiment
@@ -25,10 +20,7 @@ from repro.experiments.reporting import (
 )
 
 __all__ = [
-    "build_constrained_optimizer",
-    "build_fom_optimizer",
     "make_source_model",
-    "run_repeated",
     "run_neuk_assessment",
     "run_fom_experiment",
     "run_constrained_experiment",

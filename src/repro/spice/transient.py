@@ -34,7 +34,6 @@ results are bit-identical to serial runs of each design alone.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -255,6 +254,17 @@ def _collect_breakpoints(circuit: Circuit, t_stop: float) -> list[float]:
     return merged
 
 
+def _check_op_temperature(temperature: float, op: OperatingPoint) -> None:
+    """Reject an analysis temperature that disagrees with its initial
+    condition's, which would linearise the companion models around a bias
+    solved at another temperature."""
+    if float(temperature) != float(op.temperature):
+        raise ValueError(
+            f"transient temperature={float(temperature):g}C disagrees with "
+            f"the operating point's {float(op.temperature):g}C; omit "
+            "temperature= or solve the operating point at it")
+
+
 def transient_operating_point(circuit: Circuit, temperature: float = 27.0,
                               ) -> OperatingPoint:
     """DC solution with every waveform source held at its t = 0 value.
@@ -317,10 +327,10 @@ def transient_analysis(circuit: Circuit, t_stop: float,
     temperature:
         Analysis temperature in Celsius.  Defaults to the supplied
         ``operating_point``'s temperature (27 when solving the initial
-        condition here).  Passing a value that *disagrees* with a supplied
-        operating point is deprecated -- the companion models would then be
-        evaluated at a different temperature from the bias they linearise
-        around -- and the operating point's temperature wins.
+        condition here).  A value that *disagrees* with a supplied
+        operating point raises :class:`ValueError`: the companion models
+        would be evaluated at a different temperature from the bias they
+        linearise around.
     dt_initial / dt_min / dt_max:
         Startup, floor and ceiling timesteps; default to ``1e-4``, ``1e-12``
         and ``1/50`` of ``t_stop``.
@@ -348,15 +358,8 @@ def transient_analysis(circuit: Circuit, t_stop: float,
     if temperature is None:
         temperature = (operating_point.temperature
                        if operating_point is not None else 27.0)
-    elif (operating_point is not None
-          and float(temperature) != float(operating_point.temperature)):
-        warnings.warn(
-            "passing temperature= alongside operating_point= is deprecated "
-            "when the two disagree; the operating point's temperature "
-            f"({operating_point.temperature:g}C) is used so the companion "
-            "models stay consistent with the bias",
-            DeprecationWarning, stacklevel=2)
-        temperature = float(operating_point.temperature)
+    elif operating_point is not None:
+        _check_op_temperature(temperature, operating_point)
     circuit.ensure_indices()
     observed = list(observe) if observe is not None else circuit.nodes
     solver = _resolve_solver(circuit.n_nodes + circuit.n_branches, solver)
@@ -745,8 +748,8 @@ def transient_analysis_batch(circuits, t_stop: float,
         Scalar or length-``B`` array of per-design temperatures.  Defaults
         to each supplied operating point's temperature (27 when the initial
         conditions are solved here).  Per design, a value disagreeing with a
-        supplied operating point is deprecated and the operating point wins,
-        exactly like the serial driver.
+        supplied operating point raises :class:`ValueError`, exactly like
+        the serial driver.
     operating_points:
         Pre-computed initial conditions, one per circuit; by default
         :func:`transient_operating_point_batch` solves them.
@@ -798,18 +801,9 @@ def transient_analysis_batch(circuits, t_stop: float,
         elif temperatures.shape != (batch_size,):
             raise ValueError(f"temperature must be a scalar or have shape "
                              f"({batch_size},), got {temperatures.shape}")
-        else:
-            temperatures = temperatures.copy()
         if operating_points is not None:
-            for b, op in enumerate(operating_points):
-                if float(temperatures[b]) != float(op.temperature):
-                    warnings.warn(
-                        "passing temperature= alongside operating_point= is "
-                        "deprecated when the two disagree; the operating "
-                        f"point's temperature ({op.temperature:g}C) is used "
-                        "so the companion models stay consistent with the "
-                        "bias", DeprecationWarning, stacklevel=2)
-                    temperatures[b] = float(op.temperature)
+            for value, op in zip(temperatures, operating_points):
+                _check_op_temperature(value, op)
     if operating_points is None:
         operating_points = transient_operating_point_batch(circuits,
                                                            temperatures)

@@ -27,7 +27,7 @@ Subcommands
 store instead of JSONL (add ``--distributed`` to dispatch evaluations
 through the store's work queue).  Progress goes to stderr (``--quiet``
 silences it); structured results go to stdout or the ``--output`` file,
-one JSON object per line.
+one strict-JSON object per line (non-finite numbers are written as ``null``).
 
 ``run``/``resume``/``worker`` accept ``--telemetry`` (equivalent to setting
 ``REPRO_TELEMETRY=1``) to capture solver spans and metrics; ``run``/
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -65,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="override spec.n_simulations")
     run.add_argument("--n-seeds", type=int, help="override spec.n_seeds")
     run.add_argument("--backend", help="override spec.backend "
-                                       "(serial/thread/process)")
+                                       "(serial/batched/process)")
     _add_service_options(run)
 
     resume = commands.add_parser(
@@ -267,8 +268,22 @@ class _SpawnedWorkers:
         return False
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float (a best-so-far curve's ``inf``
+    before the first feasible design) replaced by ``None``."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
 def _emit_results(results: list[dict], output: str) -> None:
-    lines = [json.dumps(record, sort_keys=True) for record in results]
+    """Write one strict-JSON line per result (``allow_nan=False``)."""
+    lines = [json.dumps(_finite_or_null(record), sort_keys=True,
+                        allow_nan=False) for record in results]
     if output == "-":
         for line in lines:
             print(line)

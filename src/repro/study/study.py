@@ -360,14 +360,13 @@ def run_study(spec: StudySpec, callbacks: tuple = (),
         (``<path>.seed<k>``).
     runner_backend:
         ``None``/``"serial"`` runs seeds in-process (supports callbacks);
-        ``"thread"``/``"process"`` or an
-        :class:`~repro.engine.ExecutionBackend` fans whole seeds out (each
-        worker rebuilds its problem and transfer source from the spec).
+        ``"process"`` or an :class:`~repro.engine.ExecutionBackend` fans
+        whole seeds out (each worker rebuilds its problem and transfer
+        source from the spec).
 
-    Returns a dict with the same shape the retired ``run_repeated`` helper
-    produced -- ``curves`` (array), ``summary`` (mean/std/... per budget),
-    ``histories`` -- plus ``results`` (the per-seed :class:`StudyResult`
-    records) and ``seeds``.
+    Returns a dict with ``curves`` (array), ``summary`` (mean/std/count...
+    per budget), ``histories``, ``results`` (the per-seed
+    :class:`StudyResult` records) and ``seeds``.
     """
     spec.validate()
     seeds = spec.spawn_seeds()

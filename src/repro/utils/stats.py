@@ -47,7 +47,15 @@ def running_best(values, minimize: bool = False) -> np.ndarray:
 
 
 def summarize_runs(curves) -> dict[str, np.ndarray]:
-    """Aggregate repeated-run curves into mean/std/median statistics.
+    """Aggregate repeated-run curves into per-budget statistics.
+
+    Each budget is summarised over its *finite* entries only.  A best-so-far
+    curve sits at its problem's ``worst_objective`` (``+inf`` or ``-inf``)
+    until the run finds a feasible design, so ``mean``/``std``/``median``/
+    ``min``/``max`` describe the seeds that have one and ``count`` says how
+    many those are.  At a budget where no run is finite, ``count`` is 0,
+    ``std`` is 0 and the other statistics repeat the first run's infinite
+    sentinel (``+inf`` if it is NaN), so the summary never holds NaN.
 
     Parameters
     ----------
@@ -57,10 +65,23 @@ def summarize_runs(curves) -> dict[str, np.ndarray]:
     arr = np.asarray([np.asarray(c, dtype=float) for c in curves])
     if arr.ndim != 2:
         raise ValueError("curves must be a sequence of equal-length 1-D arrays")
-    return {
-        "mean": arr.mean(axis=0),
-        "std": arr.std(axis=0),
-        "median": np.median(arr, axis=0),
-        "min": arr.min(axis=0),
-        "max": arr.max(axis=0),
+    finite = np.isfinite(arr)
+    count = finite.sum(axis=0)
+    n = np.maximum(count, 1)
+    columns = np.arange(arr.shape[1])
+    # Non-finite entries sort last, so each budget's finite values lead.
+    ranked = np.sort(np.where(finite, arr, np.inf), axis=0)
+    mean = np.where(finite, arr, 0.0).sum(axis=0) / n
+    deviation = np.where(finite, arr - mean, 0.0)
+    stats = {
+        "mean": mean,
+        "std": np.sqrt((deviation * deviation).sum(axis=0) / n),
+        "median": (ranked[(n - 1) // 2, columns] + ranked[n // 2, columns]) / 2.0,
+        "min": ranked[0],
+        "max": ranked[n - 1, columns],
     }
+    empty = count == 0
+    sentinel = np.where(np.isnan(arr[0]), np.inf, arr[0])[empty]
+    for key, stat in stats.items():
+        stat[empty] = 0.0 if key == "std" else sentinel
+    return {**stats, "count": count}

@@ -12,7 +12,6 @@ integration.  It also unit-tests the sparse pattern lock that makes the
 shared symbolic analysis safe.
 """
 
-import warnings
 
 import numpy as np
 import pytest
@@ -194,21 +193,27 @@ class TestBatchedTransient:
                     result_shared.voltage(node), result_exact.voltage(node),
                     rtol=1e-6, atol=1e-9)
 
-    def test_temperature_disagreeing_with_ops_warns_and_op_wins(self):
+    def test_temperature_disagreeing_with_ops_raises(self):
         problem = make_problem("two_stage_opamp_settling")
         builder = problem.bench.builders["main"]
         design = GOOD_DESIGNS["two_stage_opamp_settling"]
         circuits = [builder(design) for _ in range(2)]
         ops = transient_operating_point_batch(circuits, temperature=85.0)
-        with pytest.warns(DeprecationWarning):
-            batched = transient_analysis_batch(circuits, T_STOP,
-                                               temperature=27.0,
-                                               operating_points=ops)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            serial = transient_analysis(builder(design), T_STOP,
-                                        temperature=27.0,
-                                        operating_point=ops[0])
+        with pytest.raises(ValueError, match="disagrees"):
+            transient_analysis_batch(circuits, T_STOP, temperature=27.0,
+                                     operating_points=ops)
+        with pytest.raises(ValueError, match="disagrees"):
+            transient_analysis_batch(circuits, T_STOP,
+                                     temperature=np.array([85.0, 27.0]),
+                                     operating_points=ops)
+        with pytest.raises(ValueError, match="disagrees"):
+            transient_analysis(builder(design), T_STOP, temperature=27.0,
+                               operating_point=ops[0])
+        # An agreeing temperature is accepted and stays serial-identical.
+        batched = transient_analysis_batch(circuits, T_STOP, temperature=85.0,
+                                           operating_points=ops)
+        serial = transient_analysis(builder(design), T_STOP, temperature=85.0,
+                                    operating_point=ops[0])
         assert_tran_identical(serial, batched[0])
 
     def test_operating_point_batch_matches_serial_and_restores_dc(self):

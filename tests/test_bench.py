@@ -220,7 +220,7 @@ class TestTemperature:
                 ],
                 measures=[])
 
-    def test_transient_temperature_conflict_is_deprecated(self):
+    def test_transient_temperature_conflict_raises(self):
         from repro.spice import (
             Capacitor,
             Circuit,
@@ -236,15 +236,14 @@ class TestTemperature:
         circuit.add(Resistor("R1", "in", "out", 1e3))
         circuit.add(Capacitor("C1", "out", "0", 1e-9))
         op = transient_operating_point(circuit, temperature=85.0)
-        with pytest.warns(DeprecationWarning, match="temperature"):
+        with pytest.raises(ValueError, match="temperature"):
             transient_analysis(circuit, 1e-6, observe=["out"],
                                operating_point=op, temperature=27.0)
-        # Matching (or omitted) temperatures stay silent.
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            transient_analysis(circuit, 1e-6, observe=["out"],
-                               operating_point=op)
+        # Matching (or omitted) temperatures are accepted.
+        transient_analysis(circuit, 1e-6, observe=["out"],
+                           operating_point=op, temperature=85.0)
+        transient_analysis(circuit, 1e-6, observe=["out"],
+                           operating_point=op)
 
 
 # ===================================================================== #
@@ -402,7 +401,7 @@ class TestCornerProblems:
         assert all(child.load_capacitance == 5e-12
                    for child in corners.children)
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_corner_sweep_deterministic_across_backends(self, backend):
         reference = make_problem("two_stage_opamp_corners")
         parallel = make_problem("two_stage_opamp_corners", backend=backend,
@@ -482,7 +481,7 @@ class TestCornerStudySpec:
 class TestCornerSweepLifecycle:
     def test_context_manager_closes_pool(self):
         from repro.bench import CornerSweep, nominal_corner
-        with CornerSweep([nominal_corner()], backend="thread") as sweep:
+        with CornerSweep([nominal_corner()], backend="process") as sweep:
             sweep.backend.map(abs, [1, -2])
             assert sweep._backend is not None
         assert sweep._backend is None
@@ -492,16 +491,16 @@ class TestCornerSweepLifecycle:
         # owner skipped close() leaked its pool silently; now the leak warns
         # (and `python -W error::ResourceWarning` turns it into a failure).
         from repro.bench import CornerSweep, nominal_corner
-        sweep = CornerSweep([nominal_corner()], backend="thread")
+        sweep = CornerSweep([nominal_corner()], backend="process")
         sweep.backend.map(abs, [1, -2])
-        with pytest.warns(ResourceWarning, match="live 'thread' worker pool"):
+        with pytest.warns(ResourceWarning, match="live 'process' worker pool"):
             sweep.__del__()
         sweep.close()
 
     def test_closed_and_serial_sweeps_do_not_warn(self):
         import warnings as warnings_module
         from repro.bench import CornerSweep, nominal_corner
-        closed = CornerSweep([nominal_corner()], backend="thread")
+        closed = CornerSweep([nominal_corner()], backend="process")
         closed.backend.map(abs, [1])
         closed.close()
         serial = CornerSweep([nominal_corner()])
@@ -514,7 +513,7 @@ class TestCornerSweepLifecycle:
     def test_pickled_sweep_rebuilds_lazily(self):
         import pickle
         from repro.bench import CornerSweep, nominal_corner
-        sweep = CornerSweep([nominal_corner()], backend="thread")
+        sweep = CornerSweep([nominal_corner()], backend="process")
         sweep.backend.map(abs, [1])
         clone = pickle.loads(pickle.dumps(sweep))
         assert clone._backend is None

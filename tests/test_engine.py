@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.autodiff import Tensor, no_grad
-from repro.bo import RandomSearch
 from repro.bo.design_space import DesignSpace, DesignVariable
 from repro.bo.problem import Constraint, OptimizationProblem
 from repro.circuits import TwoStageOpAmp, simulate_design
@@ -18,11 +17,9 @@ from repro.engine import (
     EvaluationEngine,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     available_backends,
     resolve_backend,
 )
-from repro.experiments.runner import run_repeated
 from repro.spice import ac_analysis, dc_operating_point
 
 
@@ -55,31 +52,24 @@ class FragileProblem(OptimizationProblem):
         return {"cost": design["x0"] + design["x1"], "g": design["x1"]}
 
 
-def _quadratic_problem_factory():
-    return PicklableQuadratic(dim=3)
-
-
-def _random_search_factory(problem, rng):
-    return RandomSearch(problem, batch_size=4, rng=rng)
-
-
 # ---------------------------------------------------------------------- #
 # backends                                                                #
 # ---------------------------------------------------------------------- #
 class TestBackends:
     def test_available(self):
-        assert available_backends() == ["batched", "process", "serial", "thread"]
+        assert available_backends() == ["batched", "process", "serial"]
 
     def test_resolve_by_name_and_instance(self):
         assert isinstance(resolve_backend("serial"), SerialBackend)
-        assert isinstance(resolve_backend("thread"), ThreadBackend)
         assert isinstance(resolve_backend("process"), ProcessBackend)
-        backend = ThreadBackend(max_workers=2)
+        backend = ProcessBackend(max_workers=2)
         assert resolve_backend(backend) is backend
 
     def test_resolve_unknown(self):
         with pytest.raises(ValueError, match="unknown backend"):
             resolve_backend("gpu")
+        with pytest.raises(ValueError, match="unknown backend"):
+            resolve_backend("thread")
 
     def test_default_is_serial_inside_pool_workers(self, monkeypatch):
         from repro.engine import backends
@@ -91,27 +81,9 @@ class TestBackends:
         monkeypatch.delenv(backends.WORKER_ENV_VAR)
         assert isinstance(backends.default_backend(), ProcessBackend)
 
-    def test_nested_default_on_thread_workers_degrades_to_serial(self, monkeypatch):
-        from repro.engine import backends
-        monkeypatch.setenv(backends.BACKEND_ENV_VAR, "thread")
-        shared = ThreadBackend(max_workers=2)
-        monkeypatch.setattr(backends, "_SHARED_DEFAULTS", {"thread": shared})
-
-        def outer(seed):
-            # Simulates a fanned-out optimizer whose problem lazily resolves
-            # the default backend on a worker thread; before the reentrancy
-            # guard this deadlocked once outer tasks saturated the pool.
-            inner = backends.default_backend()
-            assert isinstance(inner, SerialBackend)
-            return inner.map(lambda v: v + seed, [1, 2])
-
-        results = shared.map(outer, list(range(8)))  # 8 outer > 2 workers
-        assert results == [[1 + s, 2 + s] for s in range(8)]
-        shared.shutdown()
-
     def test_default_pooled_backend_is_shared_singleton(self, monkeypatch):
         from repro.engine import backends
-        monkeypatch.setenv(backends.BACKEND_ENV_VAR, "thread")
+        monkeypatch.setenv(backends.BACKEND_ENV_VAR, "process")
         monkeypatch.setattr(backends, "_SHARED_DEFAULTS", {})
         shared_a = backends.default_backend()
         shared_b = backends.default_backend()
@@ -124,16 +96,12 @@ class TestBackends:
     def test_serial_map_preserves_order(self):
         assert SerialBackend().map(lambda v: v * v, [3, 1, 2]) == [9, 1, 4]
 
-    def test_thread_map_preserves_order(self):
-        with ThreadBackend(max_workers=4) as backend:
-            assert backend.map(lambda v: -v, list(range(20))) == [-v for v in range(20)]
-
     def test_process_map_preserves_order(self):
         with ProcessBackend(max_workers=2) as backend:
             assert backend.map(abs, [-3, 2, -1]) == [3, 2, 1]
 
     def test_pooled_backend_is_picklable_without_executor(self):
-        backend = ThreadBackend(max_workers=2)
+        backend = ProcessBackend(max_workers=2)
         backend.map(str, [1, 2])  # force pool creation
         clone = pickle.loads(pickle.dumps(backend))
         assert clone.max_workers == 2
@@ -216,7 +184,7 @@ class TestEvaluationEngine:
         assert engine.n_evaluated == 6
         assert "cache" not in engine.stats()
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_failure_isolation(self, backend):
         problem = FragileProblem()
         engine = EvaluationEngine(problem, backend=backend)
@@ -289,7 +257,7 @@ class TestEvaluationEngine:
 
     def test_problem_default_engine_and_attach(self, quadratic_problem):
         assert quadratic_problem.engine.backend.name == "serial"
-        replacement = EvaluationEngine(quadratic_problem, backend="thread")
+        replacement = EvaluationEngine(quadratic_problem, backend="process")
         quadratic_problem.attach_engine(replacement)
         assert quadratic_problem.engine is replacement
         replacement.close()
@@ -320,16 +288,14 @@ class TestBackendEquivalence:
         finally:
             engine.close()
 
-    def test_serial_thread_process_agree(self, batch):
+    def test_serial_process_agree(self, batch):
         problem, x = batch
         serial = self._metrics(problem, x, "serial")
-        thread = self._metrics(problem, x, "thread")
         process = self._metrics(problem, x, "process")
-        for reference, candidate in ((serial, thread), (serial, process)):
-            for a, b in zip(reference, candidate):
-                assert a.keys() == b.keys()
-                for name in a:
-                    assert a[name] == pytest.approx(b[name], rel=1e-12, abs=1e-12)
+        for a, b in zip(serial, process):
+            assert a.keys() == b.keys()
+            for name in a:
+                assert a[name] == pytest.approx(b[name], rel=1e-12, abs=1e-12)
 
     def test_simulate_design_entry_point_is_picklable(self, batch):
         problem, x = batch
@@ -483,21 +449,3 @@ class TestThreadLocalGrad:
         for thread in threads:
             thread.join()
         assert flags == {"grad": True, "no_grad": False}
-
-
-# ---------------------------------------------------------------------- #
-# repeated-run fan-out                                                    #
-# ---------------------------------------------------------------------- #
-class TestRunRepeatedBackends:
-    def test_serial_and_thread_runs_are_byte_identical(self):
-        def run(backend):
-            return run_repeated(_quadratic_problem_factory, _random_search_factory,
-                                n_simulations=12, n_init=4, n_seeds=2, seed=9,
-                                constrained=False, backend=backend)
-        serial = run("serial")
-        serial_again = run("serial")
-        threaded = run(ThreadBackend(max_workers=2))
-        np.testing.assert_array_equal(serial["curves"], serial_again["curves"])
-        np.testing.assert_array_equal(serial["curves"], threaded["curves"])
-        for a, b in zip(serial["histories"], threaded["histories"]):
-            assert pickle.dumps(a.evaluations) == pickle.dumps(b.evaluations)

@@ -172,6 +172,37 @@ class TestStats:
         assert np.allclose(stats["mean"], [2.0, 3.0])
         assert np.allclose(stats["min"], [1.0, 2.0])
         assert np.allclose(stats["max"], [3.0, 4.0])
+        # On finite curves the statistics are numpy's, bit for bit.
+        curves = np.random.default_rng(3).normal(size=(5, 7))
+        stats = summarize_runs(curves)
+        np.testing.assert_array_equal(stats["mean"], curves.mean(axis=0))
+        np.testing.assert_array_equal(stats["std"], curves.std(axis=0))
+        np.testing.assert_array_equal(stats["median"], np.median(curves, axis=0))
+        np.testing.assert_array_equal(stats["count"], np.full(7, 5))
+
+    def test_summarize_runs_ignores_non_finite_entries(self):
+        import warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mixed = summarize_runs([[np.inf, 1.0], [2.0, 1.0]])
+            stats = summarize_runs([[np.inf, np.inf, 3.0],
+                                    [np.inf, 5.0, 1.0],
+                                    [np.inf, 7.0, 2.0]])
+        np.testing.assert_array_equal(mixed["mean"], [2.0, 1.0])
+        np.testing.assert_array_equal(mixed["std"], [0.0, 0.0])
+        np.testing.assert_array_equal(mixed["count"], [1, 2])
+        np.testing.assert_array_equal(stats["count"], [0, 2, 3])
+        # A budget with no finite run: count 0, no NaN, the sentinel kept.
+        for key in ("mean", "median", "min", "max"):
+            assert stats[key][0] == np.inf
+            assert not np.isnan(stats[key]).any()
+        assert stats["std"][0] == 0.0
+        # Other budgets are summarised over their finite entries only.
+        np.testing.assert_allclose(stats["mean"][1:], [6.0, 2.0])
+        np.testing.assert_allclose(stats["std"][1:], [1.0, np.std([3.0, 1.0, 2.0])])
+        np.testing.assert_allclose(stats["median"][1:], [6.0, 2.0])
+        np.testing.assert_allclose(stats["min"][1:], [5.0, 1.0])
+        np.testing.assert_allclose(stats["max"][1:], [7.0, 3.0])
 
     def test_summarize_runs_rejects_ragged(self):
         with pytest.raises(ValueError):
