@@ -55,13 +55,19 @@ REPEATS = budget(quick=2, paper=5)
 BATCH_SIZES = (1, 8, 64)
 
 
-def _best_of(fn, repeats: int) -> float:
-    times = []
+def _best_of(fns, repeats: int) -> list[float]:
+    """Best-of-``repeats`` seconds of each of ``fns``.
+
+    The repeats interleave (a, b, a, b, ...) so a slow phase of a shared
+    host lands on every contender, not on whichever ran last.
+    """
+    times = [[] for _ in fns]
     for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return min(times)
+        for fn, samples in zip(fns, times):
+            start = time.perf_counter()
+            fn()
+            samples.append(time.perf_counter() - start)
+    return [min(samples) for samples in times]
 
 
 def _mc_problems(count: int):
@@ -104,11 +110,9 @@ def test_batched_throughput(benchmark):
                               equal_nan=True)
 
     for size in BATCH_SIZES:
-        t_serial = _best_of(
-            lambda size=size: [dc_operating_point(c) for c in circuits(size)],
-            REPEATS)
-        t_batched = _best_of(
-            lambda size=size: dc_operating_point_batch(circuits(size)),
+        t_serial, t_batched = _best_of(
+            [lambda size=size: [dc_operating_point(c) for c in circuits(size)],
+             lambda size=size: dc_operating_point_batch(circuits(size))],
             REPEATS)
         record["dc"][str(size)] = {
             "serial_s": round(t_serial, 4),
@@ -136,14 +140,13 @@ def test_batched_throughput(benchmark):
         if len(subset) < min(size, len(converged)) or not subset:
             continue
         size = len(subset)
-        t_serial = _best_of(
-            lambda subset=subset: [ac_analysis(c, op, frequencies,
-                                               observe=["out"])
-                                   for c, op in subset], REPEATS)
-        t_batched = _best_of(
-            lambda subset=subset: ac_analysis_batch(
-                [c for c, _ in subset], [op for _, op in subset],
-                frequencies, observe=["out"]), REPEATS)
+        t_serial, t_batched = _best_of(
+            [lambda subset=subset: [ac_analysis(c, op, frequencies,
+                                                observe=["out"])
+                                    for c, op in subset],
+             lambda subset=subset: ac_analysis_batch(
+                 [c for c, _ in subset], [op for _, op in subset],
+                 frequencies, observe=["out"])], REPEATS)
         record["ac"][str(size)] = {
             "serial_s": round(t_serial, 4),
             "batched_s": round(t_batched, 4),
@@ -154,13 +157,11 @@ def test_batched_throughput(benchmark):
     crossover = []
     for n_resistors in budget(quick=(40, 120), paper=(40, 120, 240, 400)):
         batch = [_ladder(n_resistors) for _ in range(8)]
-        t_dense = _best_of(
-            lambda batch=batch: dc_operating_point_batch(batch,
-                                                         solver="dense"),
-            REPEATS)
-        t_sparse = _best_of(
-            lambda batch=batch: dc_operating_point_batch(batch,
-                                                         solver="sparse"),
+        t_dense, t_sparse = _best_of(
+            [lambda batch=batch: dc_operating_point_batch(batch,
+                                                          solver="dense"),
+             lambda batch=batch: dc_operating_point_batch(batch,
+                                                          solver="sparse")],
             REPEATS)
         crossover.append({"n_nodes": n_resistors + 1,
                           "dense_s": round(t_dense, 4),
@@ -231,10 +232,10 @@ def test_batched_transient_throughput(benchmark):
                 pass
 
     for size in BATCH_SIZES:
-        t_serial = _best_of(lambda size=size: run_serial(size), REPEATS)
-        t_batched = _best_of(
-            lambda size=size: transient_analysis_batch(
-                circuits(size), t_stop, observe=["out"], return_errors=True),
+        t_serial, t_batched = _best_of(
+            [lambda size=size: run_serial(size),
+             lambda size=size: transient_analysis_batch(
+                 circuits(size), t_stop, observe=["out"], return_errors=True)],
             REPEATS)
         record["tran"][str(size)] = {
             "serial_s": round(t_serial, 4),

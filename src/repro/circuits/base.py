@@ -71,10 +71,10 @@ def simulate_checked_batch(jobs):
     have thrown, for the caller's failure isolation to classify.
 
     Structurally incompatible benches (a :class:`ValueError` from the batch
-    validator) fall back to per-job serial sessions, so this entry point is
-    total over any job mix.
+    validator) fall back to one batch of one per job, so this entry point
+    is total over any job mix.
     """
-    from repro.bench import BatchJobError, BatchSimulator, Simulator
+    from repro.bench import BatchJobError, BatchSimulator
     results = [None] * len(jobs)
     prepared = []
     for index, (problem, design) in enumerate(jobs):
@@ -90,15 +90,10 @@ def simulate_checked_batch(jobs):
             outcomes = BatchSimulator().run(
                 [(bench, design) for _, _, bench, design in prepared])
         except ValueError:
-            # Mixed bench structures cannot share one batch; serial sessions
-            # per job produce the identical results, just one at a time.
-            outcomes = []
-            for _, _, bench, design in prepared:
-                try:
-                    outcomes.append(Simulator().run(bench, design))
-                except Exception as exc:  # noqa: BLE001
-                    outcomes.append(BatchJobError(
-                        type(exc).__name__, f"{type(exc).__name__}: {exc}"))
+            # Mixed bench structures cannot share one batch; batches of one
+            # produce the identical results, just one job at a time.
+            outcomes = [BatchSimulator().run([(bench, design)])[0]
+                        for _, _, bench, design in prepared]
         for (index, problem, _, _), outcome in zip(prepared, outcomes):
             if isinstance(outcome, BatchJobError):
                 results[index] = outcome

@@ -208,10 +208,13 @@ def ac_analysis(circuit: Circuit, operating_point: OperatingPoint,
                                       frequencies, observed)
 
 
-def _ac_analysis_vectorized(circuit: Circuit, operating_point: OperatingPoint,
-                            frequencies: np.ndarray,
-                            observed: list[str]) -> ACResult:
-    """Solve all frequency points with one stacked ``numpy.linalg.solve``."""
+def _affine_ac_system(circuit: Circuit, operating_point: OperatingPoint,
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(G, S, rhs)`` with ``A(omega) = G + omega * S``, probed for affinity.
+
+    Raises :class:`numpy.linalg.LinAlgError` when the excitation depends on
+    frequency or the stamps are not affine in omega.
+    """
     base = circuit.stamp_ac(0.0, operating_point)
     unit = circuit.stamp_ac(1.0, operating_point)
     if not np.array_equal(base.rhs, unit.rhs):
@@ -228,21 +231,36 @@ def _ac_analysis_vectorized(circuit: Circuit, operating_point: OperatingPoint,
     if not (np.allclose(probe.matrix, expected, rtol=1e-8, atol=1e-30)
             and np.array_equal(probe.rhs, base.rhs)):
         raise np.linalg.LinAlgError("AC stamps are not affine in omega")
-    omegas = 2.0 * np.pi * frequencies
-    systems = base.matrix[None, :, :] + omegas[:, None, None] * slope[None, :, :]
-    diagonal = np.arange(circuit.n_nodes)
-    systems[:, diagonal, diagonal] += _AC_GMIN
-    # Shape the right-hand side as a (1, N, 1) matrix stack so the solve
-    # broadcasts unambiguously across the frequency axis.
-    solutions = np.linalg.solve(systems, base.rhs[None, :, None])[..., 0]
+    return base.matrix, slope, base.rhs
+
+
+def _node_responses(circuit: Circuit, solutions: np.ndarray,
+                    observed: list[str]) -> dict[str, np.ndarray]:
+    """Observed node -> its column of the ``(F, size)`` solution stack."""
     responses: dict[str, np.ndarray] = {}
     for node in observed:
         index = circuit.node_index(node)
         if index < 0:
-            responses[node] = np.zeros(frequencies.shape[0], dtype=complex)
+            responses[node] = np.zeros(solutions.shape[0], dtype=complex)
         else:
             responses[node] = solutions[:, index].copy()
-    return ACResult(frequencies=frequencies, node_voltages=responses)
+    return responses
+
+
+def _ac_analysis_vectorized(circuit: Circuit, operating_point: OperatingPoint,
+                            frequencies: np.ndarray,
+                            observed: list[str]) -> ACResult:
+    """Solve all frequency points with one stacked ``numpy.linalg.solve``."""
+    base, slope, rhs = _affine_ac_system(circuit, operating_point)
+    omegas = 2.0 * np.pi * frequencies
+    systems = base[None, :, :] + omegas[:, None, None] * slope[None, :, :]
+    diagonal = np.arange(circuit.n_nodes)
+    systems[:, diagonal, diagonal] += _AC_GMIN
+    # Shape the right-hand side as a (1, N, 1) matrix stack so the solve
+    # broadcasts unambiguously across the frequency axis.
+    solutions = np.linalg.solve(systems, rhs[None, :, None])[..., 0]
+    return ACResult(frequencies=frequencies,
+                    node_voltages=_node_responses(circuit, solutions, observed))
 
 
 #: Memory budget (bytes) for one stacked ``(b, F, N, N)`` complex tensor in
@@ -288,19 +306,10 @@ def ac_analysis_batch(circuits, operating_points,
         if not all(device.ac_affine for device in circuit.devices):
             serial_designs.append(b)
             continue
-        base = circuit.stamp_ac(0.0, op)
-        unit = circuit.stamp_ac(1.0, op)
-        if not np.array_equal(base.rhs, unit.rhs):
+        try:
+            prepared.append((b, *_affine_ac_system(circuit, op)))
+        except np.linalg.LinAlgError:
             serial_designs.append(b)
-            continue
-        slope = unit.matrix - base.matrix
-        probe = circuit.stamp_ac(2.0, op)
-        expected = base.matrix + 2.0 * slope
-        if not (np.allclose(probe.matrix, expected, rtol=1e-8, atol=1e-30)
-                and np.array_equal(probe.rhs, base.rhs)):
-            serial_designs.append(b)
-            continue
-        prepared.append((b, base.matrix, slope, base.rhs))
 
     first = circuits[0]
     observed = list(observe) if observe is not None else first.nodes
@@ -329,17 +338,9 @@ def ac_analysis_batch(circuits, operating_points,
             serial_designs.extend(entry[0] for entry in group)
             continue
         for j, (b, *_rest) in enumerate(group):
-            circuit = circuits[b]
-            responses: dict[str, np.ndarray] = {}
-            for node in observed:
-                index = circuit.node_index(node)
-                if index < 0:
-                    responses[node] = np.zeros(frequencies.shape[0],
-                                               dtype=complex)
-                else:
-                    responses[node] = solutions[j, :, index].copy()
             results[b] = ACResult(frequencies=frequencies,
-                                  node_voltages=responses)
+                                  node_voltages=_node_responses(
+                                      circuits[b], solutions[j], observed))
     for b in serial_designs:
         results[b] = ac_analysis(circuits[b], operating_points[b],
                                  frequencies, observe, method="auto")

@@ -14,6 +14,8 @@ import pytest
 
 from repro.bench import (
     ACSpec,
+    BatchJobError,
+    BatchSimulator,
     Check,
     CornerSpec,
     Measure,
@@ -110,19 +112,11 @@ class TestOperatingPointReuse:
         assert result.stats["n_op_reused"] == 1
         assert result.stats["n_circuits_built"] == 1
 
-    def test_naive_mode_resolves_per_analysis(self):
-        problem = make_problem("two_stage_opamp")
-        design = GOOD_DESIGNS["two_stage_opamp"]
-        shared = Simulator(reuse_op=True).run(problem.bench, design)
-        naive = Simulator(reuse_op=False).run(problem.bench, design)
-        assert naive.stats["n_op_solves"] > shared.stats["n_op_solves"]
-        assert naive.metrics == shared.metrics  # reuse never changes results
-
     def test_solver_call_count_drops_for_multi_analysis_bench(self, monkeypatch):
         # A bench with several analyses around one bias must hit the Newton
         # solver once; count actual dc_operating_point calls to be sure the
         # accounting is not fictional.
-        import repro.bench.simulator as simulator_module
+        import repro.bench.batch as batch_module
         calls = {"n": 0}
         real = dc_operating_point
 
@@ -130,7 +124,7 @@ class TestOperatingPointReuse:
             calls["n"] += 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(simulator_module, "dc_operating_point", counting)
+        monkeypatch.setattr(batch_module, "dc_operating_point", counting)
         problem = make_problem("two_stage_opamp")
         frequencies = problem.ac_frequencies
         bench = Testbench(
@@ -149,6 +143,29 @@ class TestOperatingPointReuse:
         assert result.ok
         assert calls["n"] == 1          # four analyses, one Newton solve
         assert result.stats["n_op_reused"] == 3
+
+    @pytest.mark.parametrize("name", ["two_stage_opamp",
+                                      "two_stage_opamp_settling"])
+    def test_one_design_takes_the_serial_solvers(self, name, monkeypatch):
+        # A group of one job must never pay the batched drivers' fixed
+        # assembly cost, whichever entry point runs it.
+        import repro.bench.batch as batch_module
+        calls = []
+        for attr in ("dc_operating_point_batch",
+                     "transient_operating_point_batch", "ac_analysis_batch",
+                     "transient_analysis_batch"):
+            def counting(*args, _attr=attr, _real=getattr(batch_module, attr),
+                         **kwargs):
+                calls.append(_attr)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(batch_module, attr, counting)
+        problem = make_problem(name)
+        design = GOOD_DESIGNS[name]
+        assert Simulator().run(problem.bench, design).ok
+        assert BatchSimulator().run([(problem.bench, design)])[0].ok
+        assert calls == []
+        BatchSimulator().run([(problem.bench, design)] * 2)
+        assert calls  # the counters do see a real batch
 
     def test_bandgap_builds_one_circuit(self):
         # The legacy path built a second PSRR netlist and re-solved it; the
@@ -288,6 +305,17 @@ class TestTestbenchValidation:
         result = Simulator().run(bench, GOOD_DESIGNS["two_stage_opamp"])
         assert not result.ok
         assert "never alive" in result.failure
+
+    def test_unmodelled_error_raises_serially_and_is_kept_per_job(self):
+        def broken(design):
+            raise RuntimeError("boom")
+
+        bench = Testbench("broken", broken, analyses=[OPSpec("op")],
+                          measures=[])
+        with pytest.raises(RuntimeError, match="boom"):
+            Simulator().run(bench, {})
+        assert BatchSimulator().run([(bench, {})]) == [
+            BatchJobError("RuntimeError", "RuntimeError: boom")]
 
     def test_non_finite_gated_measure_fails(self):
         problem = make_problem("two_stage_opamp")
