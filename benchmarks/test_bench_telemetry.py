@@ -36,7 +36,7 @@ GOOD_DESIGN = dict(w_diff=20e-6, l_diff=0.5e-6, w_load=10e-6, l_load=0.5e-6,
                    i_bias1=20e-6, i_bias2=100e-6)
 
 BATCH = 64
-REPEATS = budget(quick=5, paper=9)
+REPEATS = budget(quick=15, paper=15)
 
 #: Allowed disabled-vs-baseline overhead: 2% relative, with an absolute
 #: slack for timer/runner jitter (the true per-solve instrumentation cost

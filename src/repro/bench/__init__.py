@@ -36,7 +36,6 @@ from repro.bench.analyses import (
     TranSpec,
 )
 from repro.bench.corners import (
-    CornerFailure,
     CornerSpec,
     CornerSweep,
     apply_corner,
@@ -91,7 +90,6 @@ __all__ = [
     "BatchJobError",
     "CornerSpec",
     "CornerSweep",
-    "CornerFailure",
     "nominal_corner",
     "standard_corners",
     "apply_corner",

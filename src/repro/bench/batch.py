@@ -32,9 +32,9 @@ check or a non-finite gated measure ends a job with
 ``SimResult(ok=False, failure=...)``.  Any other exception a job raises
 (builder bugs, bad measure code, ...) is kept on the job and ends only that
 job: ``Simulator.run`` re-raises it, and ``BatchSimulator.run`` returns a
-:class:`BatchJobError` carrying its type name and message, which callers
-translate back into their serial error handling (see
-:func:`repro.circuits.base.simulate_checked_batch`).
+:class:`BatchJobError` carrying its type name and message -- the one failure
+record of the library's fan-out, which :func:`repro.engine.simulate_jobs`
+also returns for a job that raised on a map-style backend.
 """
 
 from __future__ import annotations
@@ -75,8 +75,9 @@ class BatchJobError:
     """An unmodelled exception that killed one job of a batch.
 
     ``kind`` is the exception's type name and ``message`` the full
-    ``"TypeName: text"`` string -- the same shape the engine's task-failure
-    bookkeeping uses, so batched and pooled execution classify identically.
+    ``"TypeName: text"`` string.  :func:`repro.engine.simulate_jobs` returns
+    the same record for a raising job on any backend, so batched and pooled
+    execution classify failures identically.
     """
 
     kind: str

@@ -76,11 +76,11 @@ class OptimizationProblem:
         Threshold constraints on other metrics.
     """
 
-    #: Whether this problem can be simulated through the vectorised batch
-    #: path (``repro.circuits.base.simulate_checked_batch``).  Testbench
-    #: problems opt in -- every analysis kind they declare (operating
-    #: points, AC sweeps and transient step responses alike) now runs
-    #: through the stacked solvers; wrappers that fan out *internally*
+    #: Whether :func:`repro.engine.simulate_jobs` may run this problem's
+    #: jobs through one batched testbench session on a batched backend.
+    #: Testbench problems opt in -- every analysis kind they declare
+    #: (operating points, AC sweeps and transient step responses alike)
+    #: runs through the stacked solvers; wrappers that fan out *internally*
     #: (corner sweeps, Monte Carlo yield) stay False -- their own fan-outs
     #: batch instead.
     supports_batch_simulation = False

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import hashlib
 
+from repro.bench.batch import BatchJobError
 from repro.bench.corners import (
-    CornerFailure,
     CornerSpec,
     CornerSweep,
     apply_corner,
@@ -68,6 +68,9 @@ class CornerSizingProblem(CircuitSizingProblem):
     #: batched unit (CornerSweep stacks the per-corner benches instead).
     supports_batch_simulation = False
 
+    #: Middle of the problem name: ``<base_name>_corners_<node>``.
+    _suffix = "corners"
+
     def __init__(self, base_name: str, base_cls: type,
                  technology="180nm", corners=None,
                  backend=None, max_workers: int | None = None,
@@ -78,13 +81,12 @@ class CornerSizingProblem(CircuitSizingProblem):
                         else CornerSpec.from_dict(dict(corner))
                         for corner in corners)
         nominal = base_cls(technology=technology, **base_kwargs)
-        children = []
-        for corner in corners:
-            child = base_cls(technology=apply_corner(nominal.technology, corner),
-                             **base_kwargs)
-            child.sim_temperature = float(corner.temperature)
-            children.append(child)
-        super().__init__(name=f"{base_name}_corners",
+        children = [
+            self._corner_child(base_name, base_cls,
+                               apply_corner(nominal.technology, corner),
+                               float(corner.temperature), base_kwargs)
+            for corner in corners]
+        super().__init__(name=f"{base_name}_{self._suffix}",
                          technology=nominal.technology,
                          design_space=nominal.design_space,
                          objective=nominal.objective,
@@ -94,6 +96,13 @@ class CornerSizingProblem(CircuitSizingProblem):
         self._children = children
         self._sweep = CornerSweep(corners, backend=backend,
                                   max_workers=max_workers)
+
+    def _corner_child(self, base_name: str, base_cls: type, technology,
+                      temperature: float, base_kwargs: dict):
+        """The problem simulated at one corner: ``base_cls`` on its card."""
+        child = base_cls(technology=technology, **base_kwargs)
+        child.sim_temperature = temperature
+        return child
 
     # ------------------------------------------------------------------ #
     # evaluation                                                          #
@@ -113,7 +122,7 @@ class CornerSizingProblem(CircuitSizingProblem):
         outcomes = self._sweep.run(self._children, design)
         per_corner = []
         for outcome in outcomes:
-            if isinstance(outcome, CornerFailure):
+            if isinstance(outcome, BatchJobError):
                 # A corner whose simulation *raised* (rather than returning
                 # pessimised metrics itself) pessimises the whole design.
                 return self.failed_metrics()
@@ -148,8 +157,10 @@ class CornerSizingProblem(CircuitSizingProblem):
         return info
 
     def close(self) -> None:
-        """Shut down the corner fan-out backend's pool (idempotent)."""
+        """Shut down the fan-out backends (idempotent)."""
         self._sweep.close()
+        for child in self._children:
+            child.close()
 
 
 class TwoStageOpAmpCorners(CornerSizingProblem):

@@ -27,18 +27,9 @@ clearly-dead designs at ``n_min`` samples per corner.
 
 from __future__ import annotations
 
-import hashlib
-
-from repro.bench.corners import (
-    CornerFailure,
-    CornerSpec,
-    CornerSweep,
-    apply_corner,
-    standard_corners,
-    worst_case_metrics,
-)
+from repro.bench.corners import CornerSpec, standard_corners
 from repro.circuits.bandgap import BandgapReference
-from repro.circuits.base import CircuitSizingProblem
+from repro.circuits.corners import CornerSizingProblem
 from repro.circuits.ldo import LowDropoutRegulator
 from repro.circuits.montecarlo import YieldSizingProblem
 from repro.circuits.two_stage_opamp import TwoStageOpAmp
@@ -57,8 +48,13 @@ def default_robust_corners() -> tuple[CornerSpec, ...]:
             by_name["ff_cold_high"])
 
 
-class RobustSizingProblem(CircuitSizingProblem):
+class RobustSizingProblem(CornerSizingProblem):
     """Worst-case-corner mismatch yield: corners x Monte Carlo composed.
+
+    A :class:`~repro.circuits.corners.CornerSizingProblem` whose per-corner
+    children are :class:`~repro.circuits.montecarlo.YieldSizingProblem`
+    instances; the corner fan-out, worst-case fold, failure handling, cache
+    identity and lifecycle are the corner family's.
 
     Parameters
     ----------
@@ -86,99 +82,47 @@ class RobustSizingProblem(CircuitSizingProblem):
         Forwarded to every per-corner base problem instance.
     """
 
-    #: Corner fan-out of Monte Carlo fan-outs: the children orchestrate
-    #: their own batched sample simulations; the wrapper has no bench.
-    supports_batch_simulation = False
+    _suffix = "robust"
 
     def __init__(self, base_name: str, base_cls: type,
                  technology="180nm", corners=None,
                  yield_target: float = 0.9, mc=None,
                  backend=None, max_workers: int | None = None,
                  **base_kwargs):
-        if corners is None:
-            corners = default_robust_corners()
-        corners = tuple(corner if isinstance(corner, CornerSpec)
-                        else CornerSpec.from_dict(dict(corner))
-                        for corner in corners)
-        nominal = base_cls(technology=technology, **base_kwargs)
-        children = []
-        for corner in corners:
-            child = YieldSizingProblem(
-                base_name, base_cls,
-                technology=apply_corner(nominal.technology, corner),
-                yield_target=yield_target, mc=mc, **base_kwargs)
-            child.sim_temperature = float(corner.temperature)
-            child.base_problem.sim_temperature = float(corner.temperature)
-            children.append(child)
+        self.yield_target = float(yield_target)
+        self._mc = mc
+        super().__init__(base_name, base_cls, technology=technology,
+                         corners=(default_robust_corners() if corners is None
+                                  else corners),
+                         backend=backend, max_workers=max_workers,
+                         **base_kwargs)
         # The child constraints already include the yield spec; reuse the
         # first child's set so the wrapper classifies identically.
-        super().__init__(name=f"{base_name}_robust",
-                         technology=nominal.technology,
-                         design_space=nominal.design_space,
-                         objective=nominal.objective,
-                         minimize=nominal.minimize,
-                         constraints=list(children[0].constraints))
-        self.yield_target = float(yield_target)
-        self.corners = corners
-        self._children = children
-        self._sweep = CornerSweep(corners, backend=backend,
-                                  max_workers=max_workers)
+        self.constraints = list(self._children[0].constraints)
 
-    # ------------------------------------------------------------------ #
-    # evaluation                                                          #
-    # ------------------------------------------------------------------ #
+    def _corner_child(self, base_name: str, base_cls: type, technology,
+                      temperature: float, base_kwargs: dict):
+        child = YieldSizingProblem(base_name, base_cls, technology=technology,
+                                   yield_target=self.yield_target,
+                                   mc=self._mc, **base_kwargs)
+        child.sim_temperature = temperature
+        child.base_problem.sim_temperature = temperature
+        return child
+
     def testbench(self):
         raise NotImplementedError(
             f"{self.name} fans Monte Carlo yield problems across "
             f"{len(self.corners)} corners; use "
             ".children[i].base_problem.bench for one corner's testbench")
 
-    @property
-    def children(self) -> list[YieldSizingProblem]:
-        """Per-corner yield problems, in corner order (nominal first)."""
-        return list(self._children)
-
     def mismatch_device_names(self) -> tuple[str, ...]:
         return self._children[0].mismatch_device_names()
 
-    def simulate(self, design: dict[str, float]) -> dict[str, float]:
-        outcomes = self._sweep.run(self._children, design)
-        per_corner = []
-        for outcome in outcomes:
-            if isinstance(outcome, CornerFailure):
-                return self.failed_metrics()
-            per_corner.append(outcome)
-        return worst_case_metrics(per_corner, self.objective, self.minimize,
-                                  self.constraints)
-
-    def failed_metrics(self) -> dict[str, float]:
-        metrics = self._children[0].failed_metrics()
-        metrics[f"{self.objective}_nominal"] = metrics[self.objective]
-        return metrics
-
-    # ------------------------------------------------------------------ #
-    # identity / bookkeeping                                              #
-    # ------------------------------------------------------------------ #
-    @property
-    def cache_token(self) -> str:
-        """Fold every corner condition and per-corner child identity in."""
-        parts = (tuple(child.cache_token for child in self._children),
-                 tuple(corner.describe() for corner in self.corners))
-        digest = hashlib.sha1(repr(parts).encode()).hexdigest()[:16]
-        return f"{self.name}:{digest}"
-
     def describe(self) -> dict[str, object]:
         info = super().describe()
-        info["corners"] = [corner.describe() for corner in self.corners]
         info["yield_target"] = self.yield_target
         info["monte_carlo"] = self._children[0].mc_config.describe()
         return info
-
-    def close(self) -> None:
-        """Shut down the fan-out backends (idempotent)."""
-        self._sweep.close()
-        for child in self._children:
-            child.close()
 
 
 class TwoStageOpAmpRobust(RobustSizingProblem):

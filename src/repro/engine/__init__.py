@@ -10,7 +10,9 @@ subsystem makes each batch of them as cheap as the hardware allows:
   hit/miss statistics, so re-proposed designs cost nothing;
 * :mod:`repro.engine.engine` -- :class:`EvaluationEngine`, which owns
   batching, caching and failure isolation and is what
-  :meth:`repro.bo.problem.OptimizationProblem.evaluate_batch` routes through.
+  :meth:`repro.bo.problem.OptimizationProblem.evaluate_batch` routes through,
+  on top of :func:`simulate_jobs`, the one ``(problem, design)`` fan-out
+  shared with the corner sweep, the Monte Carlo runner and the queue worker.
 
 Every optimizer in the library picks this up transparently; experiments opt
 into parallelism per call (``backend="process"``) or globally via the
@@ -28,7 +30,7 @@ from repro.engine.backends import (
     resolve_backend,
 )
 from repro.engine.cache import CacheStats, DesignCache
-from repro.engine.engine import EvaluationEngine, evaluate_design_task
+from repro.engine.engine import EvaluationEngine, evaluate_rows, simulate_jobs
 
 __all__ = [
     "BACKEND_ENV_VAR",
@@ -41,6 +43,7 @@ __all__ = [
     "SerialBackend",
     "available_backends",
     "default_backend",
-    "evaluate_design_task",
+    "evaluate_rows",
     "resolve_backend",
+    "simulate_jobs",
 ]

@@ -8,9 +8,10 @@ serial/concurrent design space:
 * :class:`SerialBackend` -- a plain list comprehension; zero overhead, fully
   deterministic, the default everywhere.
 * :class:`BatchedBackend` -- serial ``map`` semantics plus a capability flag
-  (:attr:`ExecutionBackend.batched`) that consumers which know how to
-  *vectorise* their work -- the evaluation engine, the Monte Carlo runner,
-  the PVT corner sweep -- use to route a whole batch through one stacked
+  (:attr:`ExecutionBackend.batched`) that
+  :func:`repro.engine.engine.simulate_jobs` -- the fan-out under the
+  evaluation engine, the Monte Carlo runner, the PVT corner sweep and the
+  queue worker -- reads to route a whole batch through one stacked
   simulation (see :func:`repro.spice.dc.dc_operating_point_batch`) instead
   of N independent solves.  Results are bit-identical to serial by
   construction of the batched solver.
@@ -20,8 +21,9 @@ serial/concurrent design space:
 
 Backends deliberately do **no** error handling: callables submitted to a
 backend must catch their own exceptions and encode failures in their return
-value (see :func:`repro.engine.engine.evaluate_design_task`), so one failed
-work item can never poison the rest of a batch.
+value (see :func:`repro.engine.engine.simulate_jobs`, whose task function
+returns a :class:`~repro.bench.BatchJobError`), so one failed work item can
+never poison the rest of a batch.
 """
 
 from __future__ import annotations
@@ -54,10 +56,11 @@ class ExecutionBackend:
 
     name = "base"
 
-    #: Capability flag: consumers that know how to evaluate a whole batch in
-    #: one vectorised call (stacked-tensor Newton across designs/samples)
-    #: check this instead of the concrete type, so new batched backends work
-    #: everywhere automatically.  Pure map-style backends leave it False.
+    #: Capability flag: :func:`repro.engine.engine.simulate_jobs` checks this
+    #: instead of the concrete type to evaluate a whole batch in one
+    #: vectorised call (stacked-tensor Newton across designs/samples), so new
+    #: batched backends work everywhere automatically.  Pure map-style
+    #: backends leave it False.
     batched = False
 
     #: Capability flag for job-shaped dispatch: the evaluation engine hands

@@ -4,9 +4,9 @@
 batch of design vectors" and "here are their :class:`EvaluatedDesign`
 records":
 
-* **batching** -- the whole batch is dispatched through one
-  :class:`~repro.engine.backends.ExecutionBackend` call, so independent
-  simulations overlap on the process backend;
+* **batching** -- the whole batch goes through one :func:`simulate_jobs`
+  call, so its simulations stack into one batched session or overlap on
+  the process backend;
 * **caching** -- a content-hash :class:`~repro.engine.cache.DesignCache`
   short-circuits bit-identical designs (including duplicates *within* one
   batch), with hit/miss statistics for reports;
@@ -15,30 +15,25 @@ records":
   pessimised failed evaluation instead of killing the batch.
 
 The engine is deliberately a thin coordinator: simulation stays a pure
-function of the problem and the design vector (see
-:func:`evaluate_design_task`), which is what makes process dispatch safe.
+function of the problem and the design point, which is what makes process
+dispatch safe.  :func:`simulate_jobs` is the one fan-out of ``(problem,
+design)`` jobs in the library -- the PVT corner sweep, the Monte Carlo
+runner and the queue worker share it with the engine -- and
+:class:`~repro.bench.BatchJobError` its one failure record.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro import telemetry
+from repro.bench.batch import BatchJobError, BatchSimulator, _job_error
 from repro.bo.problem import EvaluatedDesign, OptimizationProblem
 from repro.engine.backends import ExecutionBackend, resolve_backend
 from repro.engine.cache import DesignCache
 from repro.utils.validation import check_matrix
-
-
-@dataclass
-class _TaskFailure:
-    """Marker returned by :func:`evaluate_design_task` when simulation raised."""
-
-    kind: str
-    message: str
 
 
 #: Exception types (matched by class name, so worker results stay trivially
@@ -53,20 +48,93 @@ _CONTRACT_ERRORS = ("KeyError", "TypeError", "AttributeError",
                     "DesignSpaceError", "NotFittedError", "OptimizationError")
 
 
-def evaluate_design_task(task: tuple[OptimizationProblem, np.ndarray]):
-    """Evaluate one ``(problem, x)`` pair, encoding exceptions in the result.
+def _simulate_job(job: tuple[OptimizationProblem, dict[str, float]]):
+    """Run one ``(problem, design)`` simulation, encoding exceptions.
 
-    This is the unit of work shipped to backend workers.  It is a top-level
-    function (picklable for :class:`~repro.engine.backends.ProcessBackend`)
-    and never raises: failures come back as :class:`_TaskFailure` so one
-    diverging solve cannot poison the surrounding ``Executor.map``.  The
-    coordinator decides which failures to isolate and which to re-raise.
+    The unit of work :func:`simulate_jobs` ships through ``backend.map``.  It
+    is a top-level function (picklable for
+    :class:`~repro.engine.backends.ProcessBackend`) and never raises: a
+    failure comes back as a :class:`~repro.bench.BatchJobError`, so one
+    diverging solve cannot poison the surrounding ``Executor.map``.
     """
-    problem, x = task
+    problem, design = job
     try:
-        return problem.evaluate(x)
+        return problem.simulate(design)
     except Exception as exc:  # noqa: BLE001 - isolation is the whole point
-        return _TaskFailure(type(exc).__name__, f"{type(exc).__name__}: {exc}")
+        return _job_error(exc)
+
+
+def simulate_jobs(backend: ExecutionBackend, jobs) -> list:
+    """Simulate ``(problem, design)`` jobs through ``backend``, in order.
+
+    Returns, per job, the metrics ``problem.simulate(design)`` returns or a
+    :class:`~repro.bench.BatchJobError` when it raised.  The one fan-out of
+    the evaluation engine, the PVT :class:`~repro.bench.CornerSweep`, the
+    Monte Carlo runner and the queue worker:
+
+    * on a :attr:`~ExecutionBackend.batched` backend, when every job's
+      problem sets ``supports_batch_simulation``, all benches join one
+      :class:`~repro.bench.BatchSimulator` session (the jobs may carry
+      different problem instances, e.g. mismatch clones or corner
+      variants); benches of different structure fall back to one session
+      per job, and a ``problem.bench`` that raises is that job's failure;
+    * otherwise each job is one :func:`_simulate_job` task of
+      ``backend.map``.
+
+    The batched solvers are bit-identical to the serial ones, so the
+    backend never changes a result.
+    """
+    jobs = list(jobs)
+    if not (getattr(backend, "batched", False)
+            and all(getattr(problem, "supports_batch_simulation", False)
+                    for problem, _ in jobs)):
+        return list(backend.map(_simulate_job, jobs))
+    results: list = [None] * len(jobs)
+    prepared = []
+    for index, (problem, design) in enumerate(jobs):
+        try:
+            prepared.append((index, problem, problem.bench, design))
+        except Exception as exc:  # noqa: BLE001 - mirror _simulate_job
+            results[index] = _job_error(exc)
+    pairs = [(bench, design) for _, _, bench, design in prepared]
+    try:
+        outcomes = BatchSimulator().run(pairs)
+    except ValueError:
+        # Mixed bench structures cannot share one session; sessions of one
+        # produce the identical results, one job at a time.
+        outcomes = [BatchSimulator().run([pair])[0] for pair in pairs]
+    for (index, problem, _, _), outcome in zip(prepared, outcomes):
+        if isinstance(outcome, BatchJobError):
+            results[index] = outcome
+        else:
+            results[index] = (outcome.metrics if outcome.ok
+                              else problem.failed_metrics())
+    return results
+
+
+def evaluate_rows(problem: OptimizationProblem, backend: ExecutionBackend,
+                  rows) -> list:
+    """Evaluate design rows: one :func:`simulate_jobs` call plus bookkeeping.
+
+    Rows are clipped to the design space for simulation; the constraint
+    bookkeeping (``problem.evaluation_from_metrics``) runs here, on the raw
+    row.  Returns, per row, an :class:`EvaluatedDesign` or a
+    :class:`~repro.bench.BatchJobError` -- also when the bookkeeping raised
+    (e.g. a declared metric is missing) -- for the caller to classify.
+    """
+    rows = [np.asarray(row, dtype=float).ravel() for row in rows]
+    space = problem.design_space
+    jobs = [(problem, space.as_dict(space.clip(row.reshape(1, -1))[0]))
+            for row in rows]
+    outcomes = []
+    for row, outcome in zip(rows, simulate_jobs(backend, jobs)):
+        if not isinstance(outcome, BatchJobError):
+            try:
+                outcome = problem.evaluation_from_metrics(row, outcome)
+            except Exception as exc:  # noqa: BLE001 - same as a raising job
+                outcome = _job_error(exc)
+        outcomes.append(outcome)
+    return outcomes
 
 
 class EvaluationEngine:
@@ -153,7 +221,7 @@ class EvaluationEngine:
             telemetry.inc("repro_designs_evaluated_total", len(pending))
             for index, outcome in zip(pending, outcomes):
                 self.n_evaluated += 1
-                if isinstance(outcome, _TaskFailure):
+                if isinstance(outcome, BatchJobError):
                     if outcome.kind in _CONTRACT_ERRORS:
                         raise RuntimeError(
                             f"evaluation of {self.problem.name} raised a "
@@ -188,49 +256,19 @@ class EvaluationEngine:
         return results  # type: ignore[return-value]
 
     def _dispatch(self, x: np.ndarray, pending: list[int]) -> list:
-        """Simulate the pending rows: vectorised when the backend allows it.
-
-        On a :class:`~repro.engine.backends.BatchedBackend` (and a problem
-        that opted in via ``supports_batch_simulation``) the whole pending
-        set goes through one stacked-tensor simulation; otherwise each row is
-        an independent :func:`evaluate_design_task` through ``backend.map``.
-        Both paths return, per row, either an :class:`EvaluatedDesign` or a
-        :class:`_TaskFailure` -- and the batched path is bit-identical to
-        serial, so backend choice never changes recorded results.
+        """Evaluate the pending rows through :func:`evaluate_rows`.
 
         A backend advertising ``job_dispatch`` (the study service's
         :class:`~repro.service.queue.QueueBackend`) gets the whole pending
         block as one ``map_jobs`` call instead: it ships the rows to
         external workers as queue jobs and returns the same per-row
-        ``EvaluatedDesign``-or-``_TaskFailure`` contract, so failure
+        ``EvaluatedDesign``-or-``BatchJobError`` contract, so failure
         isolation and caching behave identically to in-process evaluation.
         """
+        rows = [x[index] for index in pending]
         if getattr(self.backend, "job_dispatch", False):
-            return self.backend.map_jobs(self.problem,
-                                         [x[index] for index in pending])
-        if (getattr(self.backend, "batched", False)
-                and getattr(self.problem, "supports_batch_simulation", False)):
-            from repro.circuits.base import simulate_checked_batch
-            space = self.problem.design_space
-            jobs = []
-            for index in pending:
-                row = x[index].reshape(1, -1)
-                jobs.append((self.problem, space.as_dict(space.clip(row)[0])))
-            outcomes = []
-            for index, result in zip(pending, simulate_checked_batch(jobs)):
-                if isinstance(result, tuple):
-                    metrics, _ok = result
-                    try:
-                        outcomes.append(self.problem.evaluation_from_metrics(
-                            x[index], metrics))
-                    except Exception as exc:  # noqa: BLE001 - mirror task path
-                        outcomes.append(_TaskFailure(
-                            type(exc).__name__, f"{type(exc).__name__}: {exc}"))
-                else:
-                    outcomes.append(_TaskFailure(result.kind, result.message))
-            return outcomes
-        tasks = [(self.problem, x[index]) for index in pending]
-        return self.backend.map(evaluate_design_task, tasks)
+            return self.backend.map_jobs(self.problem, rows)
+        return evaluate_rows(self.problem, self.backend, rows)
 
     @staticmethod
     def _clone(evaluation: EvaluatedDesign, x: np.ndarray) -> EvaluatedDesign:

@@ -10,8 +10,9 @@ seeded Monte Carlo over the Pelgrom variation cards in :mod:`repro.pdk`:
 * :mod:`repro.mc.estimator` -- Wilson-interval yield estimation and the
   adaptive-stopping criterion;
 * :mod:`repro.mc.runner` -- :class:`MonteCarloRunner`, fanning sample
-  batches through the engine's serial/batched/process execution backends
-  with per-sample cache identities and bit-identical results on all of them.
+  batches through the engine's :func:`~repro.engine.simulate_jobs` on any
+  serial/batched/process backend, with per-sample cache identities and
+  bit-identical results on all of them.
 
 The ``*_yield`` sizing problems in :mod:`repro.circuits.montecarlo` wrap
 this machinery into drop-in optimization problems (objective s.t. yield >=
@@ -28,7 +29,6 @@ from repro.mc.runner import (
     MonteCarloConfig,
     MonteCarloResult,
     MonteCarloRunner,
-    SampleFailure,
     classify_pass,
 )
 from repro.mc.samplers import (
@@ -54,6 +54,5 @@ __all__ = [
     "MonteCarloConfig",
     "MonteCarloResult",
     "MonteCarloRunner",
-    "SampleFailure",
     "classify_pass",
 ]

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
-
 from repro.errors import OptimizationError
 from repro.service.queue import (
     DEFAULT_LEASE_SECONDS,
@@ -29,8 +27,7 @@ from repro.service.queue import (
 )
 from repro.service.store import ResultsStore, StoreCheckpoint, derive_study_id
 from repro.study.spec import StudySpec
-from repro.study.study import Study, StudyResult
-from repro.utils.stats import summarize_runs
+from repro.study.study import Study, StudyResult, aggregate_results
 
 
 def _queue_backend(store: ResultsStore, study_id: str, spec: StudySpec,
@@ -90,7 +87,7 @@ def run_service_study(spec: StudySpec, store: ResultsStore | str,
         except BaseException:
             store.set_study_status(seed_id, "failed")
             raise
-    return _aggregate(results, seeds, study_ids)
+    return {**aggregate_results(results, seeds), "study_ids": study_ids}
 
 
 def _resumable_batches(checkpoint: StoreCheckpoint, seed_spec: StudySpec,
@@ -147,20 +144,3 @@ def _seed_study_id(base: str | None, seed_spec: StudySpec, seed: int,
     if n_seeds == 1:
         return base
     return f"{base}.seed{index}"
-
-
-def _aggregate(results: list[StudyResult], seeds: list[int],
-               study_ids: list[str]) -> dict[str, object]:
-    if not results:
-        raise OptimizationError("study produced no results")
-    curves = [result.best_curve() for result in results]
-    length = min(len(curve) for curve in curves)
-    curves = [curve[:length] for curve in curves]
-    return {
-        "curves": np.asarray(curves),
-        "summary": summarize_runs(curves),
-        "histories": [result.history for result in results],
-        "results": results,
-        "seeds": seeds,
-        "study_ids": study_ids,
-    }

@@ -232,7 +232,7 @@ class QueueBackend(ExecutionBackend):
     them, and maps results back row by row: successful evaluations
     reconstruct bit-exactly via
     :func:`~repro.study.checkpoint.evaluation_from_dict`, failures come back
-    as the engine's internal failure marker -- so failure isolation,
+    as :class:`~repro.bench.BatchJobError` records -- so failure isolation,
     pessimisation and caching behave exactly as in-process evaluation, and
     the study's final history is bit-identical to a serial run.
     """
@@ -273,7 +273,7 @@ class QueueBackend(ExecutionBackend):
 
     def map_jobs(self, problem, rows: list[np.ndarray]) -> list:
         """Evaluate design rows via the queue; blocks until all jobs land."""
-        from repro.engine.engine import _TaskFailure
+        from repro.bench.batch import BatchJobError
         from repro.study.checkpoint import evaluation_from_dict
 
         batch_index = self.next_batch_index
@@ -301,7 +301,7 @@ class QueueBackend(ExecutionBackend):
                     outcomes.append(
                         evaluation_from_dict(row_result["evaluation"]))
                 else:
-                    outcomes.append(_TaskFailure(
+                    outcomes.append(BatchJobError(
                         row_result.get("kind", "RuntimeError"),
                         row_result.get("message", "worker-side failure")))
         return outcomes

@@ -8,9 +8,11 @@ semantics (leases + deterministic evaluation), not in worker lifetime.
 
 Evaluation mirrors the in-process engine exactly:
 
-* each design row goes through
-  :func:`repro.engine.engine.evaluate_design_task` -- the engine's own unit
-  of work -- so exceptions are encoded per row and shipped back for the
+* the rows of a job that miss the worker's cache go through one
+  :func:`repro.engine.evaluate_rows` call on the worker's backend -- the
+  engine's own evaluation path, so a ``batched`` worker stacks them into
+  one session -- and exceptions come back per row as
+  :class:`~repro.bench.BatchJobError` records, shipped back for the
   *driver* to pessimise, exactly as a local backend would;
 * results serialize via
   :func:`~repro.study.checkpoint.evaluation_to_dict`, whose float handling
@@ -37,8 +39,9 @@ import uuid
 import numpy as np
 
 from repro import telemetry
+from repro.bench.batch import BatchJobError
 from repro.engine.cache import DesignCache
-from repro.engine.engine import _TaskFailure, evaluate_design_task
+from repro.engine.engine import EvaluationEngine, evaluate_rows
 from repro.service.queue import DEFAULT_LEASE_SECONDS, Job, WorkQueue
 from repro.service.store import ResultsStore, _dump
 from repro.study.checkpoint import evaluation_to_dict
@@ -65,9 +68,10 @@ class Worker:
         Idle sleep between claim attempts when the queue is empty.
     backend:
         Evaluation backend override for problems built from job specs
-        (default ``"serial"``; ``"batched"`` vectorises within a job's
-        rows).  Workers never inherit the spec's backend -- a spec asking
-        for a process pool should not make every worker spawn one.
+        (default ``"serial"``; ``"batched"`` simulates the rows of a job
+        that miss the cache in one stacked session).  Workers never inherit
+        the spec's backend -- a spec asking for a process pool should not
+        make every worker spawn one.
     """
 
     def __init__(self, store: ResultsStore | str,
@@ -225,28 +229,33 @@ class Worker:
         problem, cache = self._problem_for(payload["spec"])
         space = problem.design_space
         token = getattr(problem, "cache_token", problem.name)
-        results: list[dict] = []
-        for row in payload["x"]:
-            x = np.asarray(row, dtype=float)
-            key = DesignCache.key_for(token, space.clip(x.reshape(1, -1))[0])
+        rows = [np.asarray(row, dtype=float) for row in payload["x"]]
+        keys = [DesignCache.key_for(token, space.clip(x.reshape(1, -1))[0])
+                for x in rows]
+        results: list[dict | None] = []
+        misses = []
+        for index, (x, key) in enumerate(zip(rows, keys)):
             hit = cache.get(key)
-            if hit is not None:
+            if hit is None:
+                results.append(None)
+                misses.append(index)
+            else:
                 # Clone onto the requested raw x, as the engine's cache
                 # layer does (keys use the clipped design, records keep x).
-                from repro.engine.engine import EvaluationEngine
                 results.append({"ok": True, "evaluation": evaluation_to_dict(
                     EvaluationEngine._clone(hit, x))})
-                continue
-            outcome = evaluate_design_task((problem, x))
-            if isinstance(outcome, _TaskFailure):
-                results.append({"ok": False, "kind": outcome.kind,
-                                "message": outcome.message})
+        outcomes = evaluate_rows(problem, problem.engine.backend,
+                                 [rows[index] for index in misses])
+        for index, outcome in zip(misses, outcomes):
+            if isinstance(outcome, BatchJobError):
+                results[index] = {"ok": False, "kind": outcome.kind,
+                                  "message": outcome.message}
             else:
                 # Successes only, like the engine: failures may be
                 # environment-transient and should retry on a fresh claim.
-                cache.put(key, outcome)
-                results.append({"ok": True,
-                                "evaluation": evaluation_to_dict(outcome)})
+                cache.put(keys[index], outcome)
+                results[index] = {"ok": True,
+                                  "evaluation": evaluation_to_dict(outcome)}
         return results
 
 

@@ -89,7 +89,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         metavar="SECONDS", help="idle sleep between claims")
     worker.add_argument("--backend", default="serial",
                         help="evaluation backend inside the worker "
-                             "(serial/batched; default serial)")
+                             "(serial/batched; batched simulates each job's "
+                             "uncached rows in one stacked session; default "
+                             "serial)")
     worker.add_argument("--max-jobs", type=int, default=None,
                         help="exit after this many jobs")
     worker.add_argument("--idle-timeout", type=float, default=None,

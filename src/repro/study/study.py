@@ -403,6 +403,19 @@ def run_study(spec: StudySpec, callbacks: tuple = (),
             if owns_backend:
                 backend.shutdown()
 
+    return aggregate_results(results, seeds)
+
+
+def aggregate_results(results: list[StudyResult],
+                      seeds: list[int]) -> dict[str, object]:
+    """The multi-seed aggregate of :func:`run_study`.
+
+    Best-so-far curves are trimmed to the shortest seed's length and
+    summarised with :func:`~repro.utils.stats.summarize_runs`, next to the
+    per-seed histories, results and seeds.
+    """
+    if not results:
+        raise OptimizationError("study produced no results")
     curves = [result.best_curve() for result in results]
     length = min(len(curve) for curve in curves)
     curves = [curve[:length] for curve in curves]

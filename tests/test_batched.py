@@ -18,12 +18,12 @@ import pytest
 
 from repro.bench import BatchJobError, BatchSimulator, Simulator
 from repro.circuits import make_problem
-from repro.circuits.base import simulate_checked_batch
 from repro.engine import (
     BatchedBackend,
     EvaluationEngine,
     available_backends,
     resolve_backend,
+    simulate_jobs,
 )
 from repro.errors import ConvergenceError
 from repro.mc import MonteCarloConfig, MonteCarloRunner
@@ -249,16 +249,16 @@ class TestBatchSimulator:
                 (bandgap.bench, GOOD_DESIGNS["bandgap"]),
             ])
 
-    def test_simulate_checked_batch_mixed_falls_back(self):
-        # The problem-level entry point absorbs the structural mismatch and
-        # produces per-job results identical to serial simulate_checked.
+    def test_simulate_jobs_mixed_falls_back(self):
+        # The shared fan-out absorbs the structural mismatch and produces
+        # per-job results identical to serial simulate.
         two_stage = make_problem("two_stage_opamp")
         bandgap = make_problem("bandgap")
         jobs = [(two_stage, GOOD_DESIGNS["two_stage_opamp"]),
                 (bandgap, GOOD_DESIGNS["bandgap"])]
-        results = simulate_checked_batch(jobs)
+        results = simulate_jobs(BatchedBackend(), jobs)
         for (problem, design), result in zip(jobs, results):
-            assert result == problem.simulate_checked(design)
+            assert result == problem.simulate(design)
 
 
 # ===================================================================== #

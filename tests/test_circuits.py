@@ -278,3 +278,20 @@ class TestRobustProblems:
         finally:
             default.close()
             full.close()
+
+    @pytest.mark.parametrize("name,options,token", [
+        ("ldo_robust", {"mc": {"n_min": 4, "n_max": 4}},
+         "ldo_robust_180nm:3d0204d753d7073c"),
+        ("two_stage_opamp_robust", {},
+         "two_stage_opamp_robust_180nm:f5259211efd4bb48"),
+        ("two_stage_opamp_corners", {},
+         "two_stage_opamp_corners_180nm:bc2d595a181bc3f4"),
+    ])
+    def test_cache_tokens_are_pinned(self, name, options, token):
+        # Frozen values: a changed token silently orphans every cached and
+        # stored result of these problems.
+        problem = make_problem(name, **options)
+        try:
+            assert problem.cache_token == token
+        finally:
+            problem.close()

@@ -9,16 +9,19 @@ import numpy as np
 import pytest
 
 from repro.autodiff import Tensor, no_grad
+from repro.bench import BatchJobError
 from repro.bo.design_space import DesignSpace, DesignVariable
 from repro.bo.problem import Constraint, OptimizationProblem
-from repro.circuits import TwoStageOpAmp, simulate_design
+from repro.circuits import TwoStageOpAmp
 from repro.engine import (
+    BatchedBackend,
     DesignCache,
     EvaluationEngine,
     ProcessBackend,
     SerialBackend,
     available_backends,
     resolve_backend,
+    simulate_jobs,
 )
 from repro.spice import ac_analysis, dc_operating_point
 
@@ -50,6 +53,20 @@ class FragileProblem(OptimizationProblem):
         if design["x0"] > 0.5:
             raise RuntimeError("diverged")
         return {"cost": design["x0"] + design["x1"], "g": design["x1"]}
+
+
+#: Marks the one design :class:`BoomOpAmp` refuses to build.
+BOOM_C_COMP = 3e-12
+
+
+class BoomOpAmp(TwoStageOpAmp):
+    """Two-stage op-amp whose netlist builder raises for the marked design
+    (module level, so process workers unpickle it by reference)."""
+
+    def build_circuit(self, design, **kwargs):
+        if design["c_comp"] == BOOM_C_COMP:
+            raise RuntimeError("boom")
+        return super().build_circuit(design, **kwargs)
 
 
 # ---------------------------------------------------------------------- #
@@ -297,14 +314,24 @@ class TestBackendEquivalence:
             for name in a:
                 assert a[name] == pytest.approx(b[name], rel=1e-12, abs=1e-12)
 
-    def test_simulate_design_entry_point_is_picklable(self, batch):
-        problem, x = batch
-        design = problem.design_space.as_dict(x[0])
-        # Round-trip both the entry point and the problem through pickle the
-        # way a process pool would before calling it.
-        fn = pickle.loads(pickle.dumps(simulate_design))
-        remote = fn(pickle.loads(pickle.dumps(problem)), design)
-        assert remote == problem.simulate(design)
+    def test_simulate_jobs_failure_records_agree(self):
+        good = dict(w_diff=20e-6, l_diff=0.5e-6, w_load=10e-6,
+                    l_load=0.5e-6, w_out=60e-6, l_out=0.3e-6, c_comp=2e-12,
+                    r_zero=2e3, i_bias1=20e-6, i_bias2=100e-6)
+        problem = BoomOpAmp("180nm")
+        jobs = [(problem, good), (problem, {**good, "c_comp": BOOM_C_COMP}),
+                (problem, {**good, "w_out": 40e-6})]
+        outcomes = {}
+        for backend in (SerialBackend(), BatchedBackend(),
+                        ProcessBackend(max_workers=2)):
+            with backend:
+                outcomes[backend.name] = simulate_jobs(backend, jobs)
+        assert outcomes["serial"] == outcomes["batched"] == outcomes["process"]
+        serial = outcomes["serial"]
+        assert serial[1] == BatchJobError("RuntimeError", "RuntimeError: boom")
+        for index in (0, 2):
+            assert serial[index] == problem.simulate(jobs[index][1])
+            assert serial[index] != problem.failed_metrics()
 
 
 # ---------------------------------------------------------------------- #

@@ -268,6 +268,46 @@ class TestWorkQueue:
         assert counts["done"] == 0 and counts["queued"] == 1
 
 
+class TestWorkerBackend:
+    def test_batched_worker_stacks_a_shard(self, tmp_path, monkeypatch):
+        """A ``batched`` worker simulates a job's rows in one stacked
+        session, with rows identical to a serial worker's."""
+        from repro.bench import batch
+        from repro.circuits import make_problem
+
+        calls = []
+        stacked = batch.dc_operating_point_batch
+
+        def counting(circuits, *args, **kwargs):
+            calls.append(len(circuits))
+            return stacked(circuits, *args, **kwargs)
+
+        monkeypatch.setattr(batch, "dc_operating_point_batch", counting)
+        spec = StudySpec(optimizer="rs", circuit="two_stage_opamp",
+                         n_simulations=4, n_init=4, batch_size=4, seed=0)
+        space = make_problem("two_stage_opamp").design_space
+        rows = space.sample(4, rng=np.random.default_rng(3)).tolist()
+        payload = {"kind": "evaluate", "study_id": "s",
+                   "spec": spec.to_dict(), "x": rows}
+        results = {}
+        for backend in ("serial", "batched"):
+            calls.clear()
+            store = ResultsStore(tmp_path / f"{backend}.db")
+            queue = WorkQueue(store)
+            queue.enqueue("s", 0, 0, payload)
+            try:
+                assert Worker(store, backend=backend).run(max_jobs=1) == 1
+                results[backend] = json.loads(queue.job_rows("s")[0]["result"])
+            finally:
+                store.close()
+            if backend == "serial":
+                assert calls == []
+            else:
+                assert calls and calls[0] == 4
+        assert len(results["batched"]) == 4
+        assert results["batched"] == results["serial"]
+
+
 # ---------------------------------------------------------------------- #
 # distributed execution                                                   #
 # ---------------------------------------------------------------------- #
