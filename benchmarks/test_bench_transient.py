@@ -10,8 +10,9 @@ measures
   including the design-cache hit on repeated designs,
 
 and emits one machine-readable ``BENCH_TRANSIENT {json}`` record.  The
-tolerance sweep (error-vs-reltol curve over several decades) is marked
-``slow`` and runs in the nightly full suite.
+tolerance sweep (error-vs-reltol curve over several decades) takes well
+under a second and runs on every pull request: it is the one check of how
+the timestep controller's error tracks ``reltol``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import time
 
 import numpy as np
-import pytest
 
 from repro.circuits import TwoStageOpAmpSettling
 from repro.engine import EvaluationEngine
@@ -97,7 +97,6 @@ def test_transient_accuracy_and_settling_cost(benchmark):
         f"cached replay {cached_seconds * 1e3:.1f} ms")
 
 
-@pytest.mark.slow
 def test_transient_tolerance_sweep():
     """Error-vs-tolerance curve: tighter reltol must buy lower error."""
     reltols = (1e-3, 1e-4, 1e-5, 1e-6)

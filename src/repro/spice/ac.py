@@ -189,21 +189,25 @@ def ac_analysis(circuit: Circuit, operating_point: OperatingPoint,
     observed = list(observe) if observe is not None else circuit.nodes
 
     affine = all(device.ac_affine for device in circuit.devices)
-    if method == "vectorized":
-        if not affine:
-            non_affine = [d.name for d in circuit.devices if not d.ac_affine]
-            raise ValueError("method='vectorized' requires affine AC stamps; "
-                             f"non-affine devices: {non_affine}")
-        return _ac_analysis_vectorized(circuit, operating_point,
-                                       frequencies, observed)
-    if method == "auto" and affine:
+    if method == "vectorized" and not affine:
+        non_affine = [d.name for d in circuit.devices if not d.ac_affine]
+        raise ValueError("method='vectorized' requires affine AC stamps; "
+                         f"non-affine devices: {non_affine}")
+    if method == "vectorized" or (method == "auto" and affine):
         try:
-            return _ac_analysis_vectorized(circuit, operating_point,
-                                           frequencies, observed)
+            base, slope, rhs = _affine_ac_system(circuit, operating_point)
+            solutions = _solve_affine_stack(base[None], slope[None],
+                                            rhs[None], frequencies,
+                                            circuit.n_nodes)[0]
         except np.linalg.LinAlgError:
+            if method == "vectorized":
+                raise
             # One or more frequency points are singular; the reference loop
             # below handles those individually via least squares.
-            pass
+        else:
+            return ACResult(frequencies=frequencies,
+                            node_voltages=_node_responses(circuit, solutions,
+                                                          observed))
     return _ac_analysis_per_frequency(circuit, operating_point,
                                       frequencies, observed)
 
@@ -247,20 +251,26 @@ def _node_responses(circuit: Circuit, solutions: np.ndarray,
     return responses
 
 
-def _ac_analysis_vectorized(circuit: Circuit, operating_point: OperatingPoint,
-                            frequencies: np.ndarray,
-                            observed: list[str]) -> ACResult:
-    """Solve all frequency points with one stacked ``numpy.linalg.solve``."""
-    base, slope, rhs = _affine_ac_system(circuit, operating_point)
+def _solve_affine_stack(bases: np.ndarray, slopes: np.ndarray,
+                        rhs: np.ndarray, frequencies: np.ndarray,
+                        n_nodes: int) -> np.ndarray:
+    """Solve ``(G_b + omega_f S_b + gmin) x = rhs_b`` for every design and
+    frequency in one stacked :func:`numpy.linalg.solve` call.
+
+    ``bases``/``slopes`` are ``(B, N, N)``, ``rhs`` is ``(B, N)``; returns the
+    ``(B, F, N)`` solutions.  Raises :class:`numpy.linalg.LinAlgError` when
+    any system of the stack is singular.
+    """
     omegas = 2.0 * np.pi * frequencies
-    systems = base[None, :, :] + omegas[:, None, None] * slope[None, :, :]
-    diagonal = np.arange(circuit.n_nodes)
-    systems[:, diagonal, diagonal] += _AC_GMIN
-    # Shape the right-hand side as a (1, N, 1) matrix stack so the solve
-    # broadcasts unambiguously across the frequency axis.
-    solutions = np.linalg.solve(systems, rhs[None, :, None])[..., 0]
-    return ACResult(frequencies=frequencies,
-                    node_voltages=_node_responses(circuit, solutions, observed))
+    systems = (bases[:, None, :, :]
+               + omegas[None, :, None, None] * slopes[:, None, :, :])
+    diagonal = np.arange(n_nodes)
+    systems[:, :, diagonal, diagonal] += _AC_GMIN
+    # Broadcast the right-hand side as an (N, 1) matrix per system so the
+    # solve is unambiguous across the design and frequency axes.
+    stacked_rhs = np.broadcast_to(rhs[:, None, :, None],
+                                  systems.shape[:3] + (1,))
+    return np.linalg.solve(systems, stacked_rhs)[..., 0]
 
 
 #: Memory budget (bytes) for one stacked ``(b, F, N, N)`` complex tensor in
@@ -313,24 +323,17 @@ def ac_analysis_batch(circuits, operating_points,
 
     first = circuits[0]
     observed = list(observe) if observe is not None else first.nodes
-    omegas = 2.0 * np.pi * frequencies
     size = first.n_nodes + first.n_branches
-    diagonal = np.arange(first.n_nodes)
     bytes_per_design = max(frequencies.shape[0] * size * size * 16, 1)
     chunk = max(1, int(_AC_BATCH_BYTES // bytes_per_design))
     for offset in range(0, len(prepared), chunk):
         group = prepared[offset:offset + chunk]
-        bases = np.stack([entry[1] for entry in group])
-        slopes = np.stack([entry[2] for entry in group])
-        rhs = np.stack([entry[3] for entry in group])
-        systems = (bases[:, None, :, :]
-                   + omegas[None, :, None, None] * slopes[:, None, :, :])
-        systems[:, :, diagonal, diagonal] += _AC_GMIN
-        stacked_rhs = np.broadcast_to(
-            rhs[:, None, :, None],
-            (len(group), frequencies.shape[0], size, 1))
         try:
-            solutions = np.linalg.solve(systems, stacked_rhs)[..., 0]
+            solutions = _solve_affine_stack(
+                np.stack([entry[1] for entry in group]),
+                np.stack([entry[2] for entry in group]),
+                np.stack([entry[3] for entry in group]), frequencies,
+                first.n_nodes)
         except np.linalg.LinAlgError:
             # At least one design has a singular frequency point; let the
             # serial driver sort each of them out (it falls back to the

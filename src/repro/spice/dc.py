@@ -1,26 +1,32 @@
 """Newton-Raphson DC operating-point analysis with gmin stepping.
 
-Two drivers share one model of the iteration:
+One policy, two Newton kernels.  :func:`_solve_dc` holds the whole policy
+around the iteration -- the gmin ladder, warm-starting each rung from the
+last, and the rescue ladder for solves the standard settings cannot crack --
+and runs it on a ``(B, size)`` block of iterates through a kernel that
+advances one rung:
 
-* :func:`dc_operating_point` -- classic serial Newton on one circuit;
-* :func:`dc_operating_point_batch` -- the same gmin ladder on ``B``
-  topology-identical circuits at once, assembling one ``(B, size, size)``
-  tensor per iteration (or one shared-pattern sparse batch) and solving it
-  with a single stacked call.  Per-design convergence masking freezes
-  finished designs exactly where the serial iteration would stop them, so
-  each design's iterate sequence -- and hence its final
-  :class:`OperatingPoint` -- is bit-identical to a serial solve of that
-  design alone with the same solver.
+* :func:`dc_operating_point` passes the scalar kernel
+  (:func:`_newton_solve`, one circuit, ``B = 1``);
+* :func:`dc_operating_point_batch` passes the stacked kernel
+  (:func:`_newton_solve_batch`) over ``B`` topology-identical circuits,
+  assembling one ``(B, size, size)`` tensor per iteration (or one
+  shared-pattern sparse batch) and solving it with a single stacked call.
+  Per-design convergence masking freezes finished designs exactly where the
+  scalar kernel would stop them, so each design's iterate sequence -- and
+  hence its final :class:`OperatingPoint` -- is bit-identical to a serial
+  solve of that design alone with the same solver.
 
-Solver selection (``solver=`` on both drivers): ``"dense"`` uses the LAPACK
-path, ``"sparse"`` CSR + SuperLU, and ``"auto"`` (default) picks sparse once
-the MNA system size reaches
+Solver selection (``solver=`` on both entry points): ``"dense"`` uses the
+LAPACK path, ``"sparse"`` CSR + SuperLU, and ``"auto"`` (default) picks
+sparse once the MNA system size reaches
 :data:`repro.spice.mna.SPARSE_SIZE_THRESHOLD`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -149,49 +155,133 @@ _RESCUE_DAMPING = 0.1
 _RESCUE_MAX_FAILED_STEPS = 2
 
 
-def _gmin_ladder(circuit: Circuit, start: np.ndarray, temperature: float,
+def _walk_ladder(newton, voltages: np.ndarray, indices: np.ndarray,
                  gmin_steps: tuple[float, ...], max_iterations: int,
                  tolerance: float, damping: float,
-                 max_failed_steps: int | None = None, solver: str = "dense",
-                 collect_residuals: bool = False,
-                 ) -> tuple[np.ndarray, bool, int, dict]:
-    """Run Newton down a gmin ladder, warm-starting each step.
+                 max_failed_steps: int | None = None, collect: bool = False,
+                 ) -> dict:
+    """Run the designs ``indices`` down a gmin ladder, warm-starting each step.
 
-    ``max_failed_steps`` aborts the ladder early once more than that many
-    steps have failed to converge (``None`` never aborts -- the standard
-    path's exact legacy semantics).
+    ``newton(voltages, indices, gmin, max_iterations, tolerance, damping,
+    collect)`` advances the rows ``indices`` of ``voltages`` in place through
+    one rung and returns ``(converged, iterations, residual, clamps,
+    trajectories)`` aligned with ``indices``.  Every design runs *every*
+    step regardless of earlier convergence, ``converged`` reports the final
+    step's outcome, and ``max_failed_steps`` retires a design once more than
+    that many of its steps have failed (``None`` never retires).
 
-    The ``info`` dict carries solve statistics: per-step iteration counts,
-    the final step's residual and gmin (what a failure message reports),
-    total damping clamps, and -- only when ``collect_residuals`` -- the
-    final step's residual trajectory.
+    Returns per-design lists aligned with ``indices``: the convergence
+    flags, total and per-step iteration counts, the last step's residual
+    and gmin (what a failure message reports), total damping clamps, and --
+    only when ``collect`` -- the last step's residual trajectory.
     """
-    voltages = start
-    total_iterations = 0
-    converged = False
-    failed_steps = 0
-    iterations_per_gmin: list[int] = []
-    residual = float("nan")
-    last_gmin = 0.0
-    clamps = 0
-    trajectory: list | None = None
+    count = len(indices)
+    converged = [False] * count
+    iterations = [0] * count
+    per_gmin: list[list[int]] = [[] for _ in range(count)]
+    residual = [float("nan")] * count
+    final_gmin = [0.0] * count
+    clamps = [0] * count
+    trajectories: list[tuple] = [()] * count
+    failed_steps = [0] * count
+    positions = list(range(count))
+    rung_indices = indices
     for gmin in gmin_steps:
-        voltages, converged, used, residual, step_clamps, trajectory = (
-            _newton_solve(circuit, voltages, temperature, gmin,
-                          max_iterations, tolerance, damping, solver=solver,
-                          collect_residuals=collect_residuals))
-        total_iterations += used
-        iterations_per_gmin.append(used)
-        last_gmin = gmin
-        clamps += step_clamps
-        if not converged:
-            failed_steps += 1
-            if (max_failed_steps is not None
-                    and failed_steps > max_failed_steps):
+        step_converged, used, step_residual, step_clamps, step_traj = newton(
+            voltages, rung_indices, gmin, max_iterations, tolerance, damping,
+            collect)
+        for offset, position in enumerate(positions):
+            used_here = int(used[offset])
+            iterations[position] += used_here
+            per_gmin[position].append(used_here)
+            converged[position] = bool(step_converged[offset])
+            residual[position] = float(step_residual[offset])
+            final_gmin[position] = gmin
+            clamps[position] += int(step_clamps[offset])
+            if step_traj is not None:
+                trajectories[position] = tuple(step_traj[offset])
+            if not converged[position]:
+                failed_steps[position] += 1
+        if max_failed_steps is not None:
+            positions = [position for position in positions
+                         if failed_steps[position] <= max_failed_steps]
+            if not positions:
                 break
-    info = {"iterations_per_gmin": iterations_per_gmin, "residual": residual,
-            "gmin": last_gmin, "clamps": clamps, "trajectory": trajectory}
-    return voltages, converged, total_iterations, info
+            rung_indices = indices[positions]
+    return {"converged": converged, "iterations": iterations,
+            "iterations_per_gmin": per_gmin, "residual": residual,
+            "gmin": final_gmin, "clamps": clamps,
+            "trajectories": trajectories}
+
+
+def _solve_dc(newton, start: np.ndarray, gmin_steps: tuple[float, ...],
+              max_iterations: int, tolerance: float, damping: float,
+              rescue: bool, collect: bool) -> tuple[np.ndarray, dict]:
+    """The DC policy over a ``(B, size)`` block of starting points.
+
+    Walks the standard gmin ladder; when ``rescue`` is set, the designs that
+    failed it restart from ``start`` on the rescue ladder, and a design
+    whose rescue also fails keeps the standard ladder's best solution.
+    Returns the final iterates and the ladder statistics (see
+    :func:`_walk_ladder`, plus a per-design ``rescue_entered`` flag); the
+    last ladder a design walked provides its reported residual and gmin.
+    """
+    voltages = start.copy()
+    info = _walk_ladder(newton, voltages, np.arange(len(start)),
+                        tuple(gmin_steps), max_iterations, tolerance, damping,
+                        collect=collect)
+    info["rescue_entered"] = [False] * len(start)
+    failed = [b for b, converged in enumerate(info["converged"])
+              if not converged]
+    if rescue and failed:
+        rescue_voltages = voltages.copy()
+        rescue_voltages[failed] = start[failed]
+        rescued = _walk_ladder(
+            newton, rescue_voltages, np.array(failed), _RESCUE_GMIN_STEPS,
+            _RESCUE_MAX_ITERATIONS, tolerance, _RESCUE_DAMPING,
+            max_failed_steps=_RESCUE_MAX_FAILED_STEPS, collect=collect)
+        for offset, b in enumerate(failed):
+            info["rescue_entered"][b] = True
+            info["iterations"][b] += rescued["iterations"][offset]
+            info["iterations_per_gmin"][b] += (
+                rescued["iterations_per_gmin"][offset])
+            info["clamps"][b] += rescued["clamps"][offset]
+            for key in ("residual", "gmin", "trajectories"):
+                info[key][b] = rescued[key][offset]
+            if rescued["converged"][offset]:
+                info["converged"][b] = True
+                voltages[b] = rescue_voltages[b]
+    return voltages, info
+
+
+def _dc_stats(info: dict, b: int, **batch) -> SolveStats:
+    """Design ``b``'s :class:`SolveStats` from :func:`_solve_dc`'s info."""
+    converged = info["converged"][b]
+    per_gmin = info["iterations_per_gmin"][b]
+    return SolveStats(
+        analysis="dc", converged=converged, iterations=info["iterations"][b],
+        iterations_per_gmin=tuple(per_gmin), gmin_steps=len(per_gmin),
+        rescue_entered=info["rescue_entered"][b],
+        damping_clamps=info["clamps"][b],
+        final_residual=info["residual"][b],
+        final_gmin=float(info["gmin"][b]),
+        residual_trajectory=() if converged else info["trajectories"][b],
+        **batch)
+
+
+def _operating_point(circuit: Circuit, solution: np.ndarray, temperature,
+                     stats: SolveStats) -> OperatingPoint:
+    """Node voltages and device bias info of one solved design."""
+    solution = solution.copy()
+    node_voltages = {name: float(solution[index])
+                     for name, index in zip(circuit.nodes,
+                                            range(circuit.n_nodes))}
+    device_info = {device.name: device.operating_info(solution, temperature)
+                   for device in circuit.devices}
+    return OperatingPoint(voltages=solution, node_voltages=node_voltages,
+                          device_info=device_info, converged=stats.converged,
+                          iterations=stats.iterations, temperature=temperature,
+                          stats=stats)
 
 
 def dc_operating_point(circuit: Circuit, temperature: float = 27.0,
@@ -231,51 +321,27 @@ def dc_operating_point(circuit: Circuit, temperature: float = 27.0,
     if start.shape[0] != size:
         raise ValueError(f"initial_guess must have length {size}")
 
-    collect = telemetry.enabled()
+    def newton(voltages, indices, gmin, max_iterations, tolerance, damping,
+               collect):
+        # The scalar kernel as a one-row rung: ``indices`` is always [0].
+        voltages[0], converged, used, residual, clamps, trajectory = (
+            _newton_solve(circuit, voltages[0], temperature, gmin,
+                          max_iterations, tolerance, damping, solver=solver,
+                          collect_residuals=collect))
+        return ((converged,), (used,), (residual,), (clamps,),
+                None if trajectory is None else (trajectory,))
+
     with telemetry.span("spice.dc", circuit=circuit.title):
-        voltages, converged, total_iterations, info = _gmin_ladder(
-            circuit, start.copy(), temperature, tuple(gmin_steps),
-            max_iterations, tolerance, damping, solver=solver,
-            collect_residuals=collect)
-        iterations_per_gmin = list(info["iterations_per_gmin"])
-        clamps = info["clamps"]
-        rescue_entered = False
-        if not converged and rescue:
-            rescue_entered = True
-            rescued, converged, used, info = _gmin_ladder(
-                circuit, start.copy(), temperature, _RESCUE_GMIN_STEPS,
-                _RESCUE_MAX_ITERATIONS, tolerance, _RESCUE_DAMPING,
-                max_failed_steps=_RESCUE_MAX_FAILED_STEPS, solver=solver,
-                collect_residuals=collect)
-            total_iterations += used
-            iterations_per_gmin.extend(info["iterations_per_gmin"])
-            clamps += info["clamps"]
-            if converged:
-                voltages = rescued
-    # The failure detail reports the last ladder actually walked (the
-    # rescue ladder once entered) -- same on the batched path.
-    trajectory = info["trajectory"] if not converged else None
-    stats = SolveStats(
-        analysis="dc", converged=converged, iterations=total_iterations,
-        iterations_per_gmin=tuple(iterations_per_gmin),
-        gmin_steps=len(iterations_per_gmin), rescue_entered=rescue_entered,
-        damping_clamps=clamps, final_residual=info["residual"],
-        final_gmin=info["gmin"],
-        residual_trajectory=tuple(trajectory) if trajectory else ())
+        voltages, info = _solve_dc(newton, start[None], gmin_steps,
+                                   max_iterations, tolerance, damping, rescue,
+                                   telemetry.enabled())
+    stats = _dc_stats(info, 0)
     telemetry.record_solve(stats)
-    if not converged and raise_on_failure:
+    if not stats.converged and raise_on_failure:
         raise ConvergenceError(
             f"DC analysis of {circuit.title!r} did not converge "
             f"{stats.failure_detail()}")
-
-    node_voltages = {name: float(voltages[index])
-                     for name, index in zip(circuit.nodes, range(circuit.n_nodes))}
-    device_info = {device.name: device.operating_info(voltages, temperature)
-                   for device in circuit.devices}
-    return OperatingPoint(voltages=voltages, node_voltages=node_voltages,
-                          device_info=device_info, converged=converged,
-                          iterations=total_iterations, temperature=temperature,
-                          stats=stats)
+    return _operating_point(circuit, voltages[0], temperature, stats)
 
 
 # --------------------------------------------------------------------- #
@@ -311,14 +377,16 @@ def _check_batch_topology(circuits: list[Circuit]) -> None:
                     f"match {first.title!r}")
 
 
-class _BatchAssembler:
-    """Assembles the batched DC system for any active subset of designs.
+class _StackedAssembler:
+    """What the DC and transient batch assemblers share.
 
-    Built once per batched solve: transposes the batch into per-device
-    sibling columns, precomputes each device's vectorized context over the
-    *full* batch, and then stamps arbitrary active sub-batches by slicing
-    those contexts row-wise -- convergence masking never re-derives model
-    constants.
+    The batch is transposed into per-device sibling columns, and one dense
+    :class:`BatchStamper` or sparse :class:`SparseBatchStamper` is reused
+    across Newton iterations, so the sparse triplet pattern locks after the
+    first assembly and its symbolic analysis is shared by every later
+    factorization.  The counters feed telemetry: convergence-mask occupancy
+    (active rows per assembled iteration over the full batch) and sparse
+    pattern reuse.
     """
 
     def __init__(self, circuits: list[Circuit], temperatures: np.ndarray,
@@ -329,13 +397,71 @@ class _BatchAssembler:
         self.size = self.n_nodes + self.n_branches
         self.temperatures = temperatures
         self.solver = solver
-        # Telemetry counters: convergence-mask occupancy (active rows per
-        # assembled iteration over the full batch) and sparse pattern reuse.
         self.total_designs = len(circuits)
         self.assemblies = 0
         self.active_rows = 0
         self.columns = [tuple(circuit.devices[position] for circuit in circuits)
                         for position in range(len(first.devices))]
+        # Sub-batch gathers are memoized: the active set changes only as
+        # designs finish, while stamping runs every iteration.
+        self._gather_cache: dict[bytes, tuple] = {}
+        self._dense_stamper: BatchStamper | None = None
+        self._sparse_stamper: SparseBatchStamper | None = None
+        self._sparse_key = None
+
+    @property
+    def occupancy(self) -> float:
+        """Mean fraction of the batch active per assembled iteration."""
+        if not self.assemblies:
+            return float("nan")
+        return self.active_rows / (self.assemblies * self.total_designs)
+
+    @property
+    def pattern_reuse_hits(self) -> int:
+        stamper = self._sparse_stamper
+        return stamper.pattern_reuse_hits if stamper is not None else 0
+
+    def _stamper(self, batch_size: int, sparse_key=None):
+        """A reset stamper for ``batch_size`` active rows.
+
+        A sparse stamper is rebuilt whenever ``sparse_key`` changes: the
+        caller passes whatever would change the stamp sequence against the
+        locked pattern.
+        """
+        self.assemblies += 1
+        self.active_rows += batch_size
+        if self.solver == "sparse":
+            stamper = self._sparse_stamper
+            if (stamper is None or stamper.batch_size != batch_size
+                    or self._sparse_key != sparse_key):
+                stamper = SparseBatchStamper(batch_size, self.n_nodes,
+                                             self.n_branches)
+                self._sparse_stamper = stamper
+                self._sparse_key = sparse_key
+            else:
+                stamper.reset()
+            return stamper
+        stamper = self._dense_stamper
+        if stamper is None or stamper.batch_size != batch_size:
+            stamper = BatchStamper(batch_size, self.n_nodes, self.n_branches)
+            self._dense_stamper = stamper
+        else:
+            stamper.reset()
+        return stamper
+
+
+class _BatchAssembler(_StackedAssembler):
+    """Assembles the batched DC system for any active subset of designs.
+
+    Built once per batched solve: precomputes each device column's
+    vectorized context over the *full* batch, and then stamps arbitrary
+    active sub-batches by slicing those contexts row-wise -- convergence
+    masking never re-derives model constants.
+    """
+
+    def __init__(self, circuits: list[Circuit], temperatures: np.ndarray,
+                 solver: str):
+        super().__init__(circuits, temperatures, solver)
         self.contexts = [column[0].dc_batch_context(list(column), temperatures)
                          for column in self.columns]
         # Fusion plan: maximal runs of >=2 consecutive same-class fusable
@@ -374,12 +500,6 @@ class _BatchAssembler:
                 flush()
             run.append(position)
         flush()
-        # Sub-batch gathers are memoized: the active set only shrinks a
-        # handful of times per ladder, while stamping runs every iteration.
-        self._gather_cache: dict[bytes, tuple] = {}
-        self._dense_stamper: BatchStamper | None = None
-        self._sparse_stamper: SparseBatchStamper | None = None
-        self._sparse_gmin: bool | None = None
 
     def _gather(self, indices: np.ndarray) -> tuple:
         key = indices.tobytes()
@@ -400,45 +520,11 @@ class _BatchAssembler:
             self._gather_cache[key] = cached
         return cached
 
-    @property
-    def occupancy(self) -> float:
-        """Mean fraction of the batch active per assembled iteration."""
-        if not self.assemblies:
-            return float("nan")
-        return self.active_rows / (self.assemblies * self.total_designs)
-
-    @property
-    def pattern_reuse_hits(self) -> int:
-        stamper = self._sparse_stamper
-        return stamper.pattern_reuse_hits if stamper is not None else 0
-
     def assemble(self, indices: np.ndarray, voltages: np.ndarray, gmin: float):
         """Stamp the active sub-batch ``indices`` at trial ``voltages``."""
-        batch_size = len(indices)
-        self.assemblies += 1
-        self.active_rows += batch_size
-        if self.solver == "sparse":
-            # Reused like the dense stamper so the locked triplet pattern
-            # (and its symbolic analysis) carries across Newton iterations.
-            # A gmin-presence flip would change the stamp sequence against
-            # the locked pattern, so it forces a rebuild.
-            stamper = self._sparse_stamper
-            if (stamper is None or stamper.batch_size != batch_size
-                    or self._sparse_gmin != (gmin > 0.0)):
-                stamper = SparseBatchStamper(batch_size, self.n_nodes,
-                                             self.n_branches)
-                self._sparse_stamper = stamper
-                self._sparse_gmin = gmin > 0.0
-            else:
-                stamper.reset()
-        else:
-            stamper = self._dense_stamper
-            if stamper is None or stamper.batch_size != batch_size:
-                stamper = BatchStamper(batch_size, self.n_nodes,
-                                       self.n_branches)
-                self._dense_stamper = stamper
-            else:
-                stamper.reset()
+        # A gmin-presence flip would change the stamp sequence against the
+        # locked sparse pattern.
+        stamper = self._stamper(len(indices), gmin > 0.0)
         siblings, contexts, temperatures, fused_params = self._gather(indices)
         # One errstate frame for the whole stamp loop: device models produce
         # benign overflows/invalids on NaN trial voltages, and entering a
@@ -458,12 +544,15 @@ class _BatchAssembler:
         return stamper
 
 
-def _solve_rows_individually(stamper, size: int) -> np.ndarray:
+def _solve_rows_individually(stamper, size: int,
+                             errors: list | None = None) -> np.ndarray:
     """Per-design solve fallback once the stacked solve hits a singular design.
 
-    Replicates the serial solver chain per design -- direct solve, then
-    least-squares, then give up (a NaN row, which the finite check freezes
-    exactly like the serial bail-out).
+    Replicates the scalar solver chain per design -- direct solve, then
+    least-squares, then give up: a NaN row, which the finite check freezes
+    exactly like the scalar bail-out.  When ``errors`` (aligned with the
+    stacked designs) is given, a least-squares failure is also recorded
+    there, for callers whose scalar kernel lets it propagate.
     """
     out = np.empty((stamper.batch_size, size))
     for b in range(stamper.batch_size):
@@ -472,7 +561,9 @@ def _solve_rows_individually(stamper, size: int) -> np.ndarray:
         except np.linalg.LinAlgError:
             try:
                 out[b] = stamper.solve_lstsq_design(b)
-            except np.linalg.LinAlgError:
+            except np.linalg.LinAlgError as exc:
+                if errors is not None:
+                    errors[b] = exc
                 out[b] = np.nan
     return out
 
@@ -485,14 +576,15 @@ def _newton_solve_batch(assembler: _BatchAssembler, voltages: np.ndarray,
                                    np.ndarray, list | None]:
     """Damped Newton on the designs ``indices`` at a fixed gmin level.
 
-    Updates the full-batch ``voltages`` rows in place and returns
-    ``(converged, iterations, residual, clamps, trajectories)`` arrays
-    aligned with ``indices``.  Designs freeze the moment their serial
-    counterpart would stop -- after applying the final damped step on
-    convergence, *before* applying anything on a non-finite solution -- so
-    warm starts for the next ladder step are bit-identical to serial.
+    The stacked counterpart of :func:`_newton_solve`: updates the
+    full-batch ``voltages`` rows in place and returns ``(converged,
+    iterations, residual, clamps, trajectories)`` arrays aligned with
+    ``indices``.  Designs freeze the moment the scalar kernel would stop
+    them -- after applying the final damped step on convergence, *before*
+    applying anything on a non-finite solution -- so warm starts for the
+    next ladder step are bit-identical to serial.
 
-    ``residual`` mirrors the serial solver's reporting exactly: it holds
+    ``residual`` mirrors the scalar kernel's reporting exactly: it holds
     each design's last finite-iteration ``max|delta|`` (NaN when a design
     bailed before its first update), so failure messages built from it are
     string-identical to the serial path's.
@@ -541,60 +633,6 @@ def _newton_solve_batch(assembler: _BatchAssembler, voltages: np.ndarray,
     return converged, iterations, residual, clamps, trajectories
 
 
-def _gmin_ladder_batch(assembler: _BatchAssembler, voltages: np.ndarray,
-                       indices: np.ndarray, gmin_steps: tuple[float, ...],
-                       max_iterations: int, tolerance: float, damping: float,
-                       max_failed_steps: int | None = None,
-                       collect_residuals: bool = False,
-                       ) -> tuple[np.ndarray, np.ndarray, dict]:
-    """The serial gmin ladder over a batch of designs.
-
-    Mirrors :func:`_gmin_ladder` per design: every design runs *every*
-    ladder step (warm-started from its previous step) regardless of earlier
-    convergence, ``converged`` reports the final step's outcome, and
-    ``max_failed_steps`` retires designs whose failure count exceeds it.
-    The ``info`` dict carries the same per-design solve statistics as the
-    serial ladder's, as arrays/lists aligned with ``indices``.
-    """
-    count = len(indices)
-    converged = np.zeros(count, dtype=bool)
-    total_iterations = np.zeros(count, dtype=int)
-    failed_steps = np.zeros(count, dtype=int)
-    on_ladder = np.ones(count, dtype=bool)
-    residual = np.full(count, np.nan)
-    final_gmin = np.zeros(count)
-    clamps = np.zeros(count, dtype=int)
-    iterations_per_gmin: list[list[int]] = [[] for _ in range(count)]
-    trajectories: list[tuple] = [() for _ in range(count)]
-    for gmin in gmin_steps:
-        positions = np.nonzero(on_ladder)[0]
-        if positions.size == 0:
-            break
-        step_converged, used, step_residual, step_clamps, step_traj = (
-            _newton_solve_batch(assembler, voltages, indices[positions], gmin,
-                                max_iterations, tolerance, damping,
-                                collect_residuals=collect_residuals))
-        total_iterations[positions] += used
-        converged[positions] = step_converged
-        # Failure reporting mirrors serial: the *last step a design ran*
-        # provides its residual and gmin level.
-        residual[positions] = step_residual
-        final_gmin[positions] = gmin
-        clamps[positions] += step_clamps
-        for offset, position in enumerate(positions):
-            iterations_per_gmin[position].append(int(used[offset]))
-            if step_traj is not None:
-                trajectories[position] = tuple(step_traj[offset])
-        failed = positions[~step_converged]
-        failed_steps[failed] += 1
-        if max_failed_steps is not None:
-            on_ladder[failed[failed_steps[failed] > max_failed_steps]] = False
-    info = {"residual": residual, "gmin": final_gmin, "clamps": clamps,
-            "iterations_per_gmin": iterations_per_gmin,
-            "trajectories": trajectories}
-    return converged, total_iterations, info
-
-
 def dc_operating_point_batch(circuits, temperature=27.0,
                              max_iterations: int = 150,
                              tolerance: float = 1e-9, damping: float = 0.5,
@@ -640,60 +678,18 @@ def dc_operating_point_batch(circuits, temperature=27.0,
                              f"({batch_size}, {size}), got {start.shape}")
 
     assembler = _BatchAssembler(circuits, temperatures, solver)
-    indices = np.arange(batch_size)
-    voltages = start.copy()
-    collect = telemetry.enabled()
-    rescue_mask = np.zeros(batch_size, dtype=bool)
     with telemetry.span("spice.dc_batch", batch=batch_size,
                         circuit=first.title):
-        converged, total_iterations, info = _gmin_ladder_batch(
-            assembler, voltages, indices, tuple(gmin_steps), max_iterations,
-            tolerance, damping, collect_residuals=collect)
-        if rescue and not converged.all():
-            failed = indices[~converged]
-            rescue_mask[failed] = True
-            # The rescue ladder restarts the failed designs from the original
-            # start, on a scratch copy: like the serial driver, a failed rescue
-            # leaves the standard ladder's best solution in place.
-            rescue_voltages = voltages.copy()
-            rescue_voltages[failed] = start[failed]
-            rescue_converged, used, rescue_info = _gmin_ladder_batch(
-                assembler, rescue_voltages, failed, _RESCUE_GMIN_STEPS,
-                _RESCUE_MAX_ITERATIONS, tolerance, _RESCUE_DAMPING,
-                max_failed_steps=_RESCUE_MAX_FAILED_STEPS,
-                collect_residuals=collect)
-            total_iterations[failed] += used
-            # The rescue ladder ran last for these designs, so it provides
-            # their reported residual/gmin -- exactly as on the serial path.
-            info["residual"][failed] = rescue_info["residual"]
-            info["gmin"][failed] = rescue_info["gmin"]
-            info["clamps"][failed] += rescue_info["clamps"]
-            for offset, b in enumerate(failed):
-                info["iterations_per_gmin"][b].extend(
-                    rescue_info["iterations_per_gmin"][offset])
-                if collect:
-                    info["trajectories"][b] = rescue_info["trajectories"][offset]
-            rescued = failed[rescue_converged]
-            voltages[rescued] = rescue_voltages[rescued]
-            converged[rescued] = True
+        voltages, info = _solve_dc(
+            partial(_newton_solve_batch, assembler), start, gmin_steps,
+            max_iterations, tolerance, damping, rescue, telemetry.enabled())
 
     occupancy = assembler.occupancy
     reuse_hits = assembler.pattern_reuse_hits
-    per_design_stats = []
-    for b in range(batch_size):
-        trajectory = info["trajectories"][b] if not converged[b] else ()
-        per_design_stats.append(SolveStats(
-            analysis="dc", converged=bool(converged[b]),
-            iterations=int(total_iterations[b]),
-            iterations_per_gmin=tuple(info["iterations_per_gmin"][b]),
-            gmin_steps=len(info["iterations_per_gmin"][b]),
-            rescue_entered=bool(rescue_mask[b]),
-            damping_clamps=int(info["clamps"][b]),
-            final_residual=float(info["residual"][b]),
-            final_gmin=float(info["gmin"][b]),
-            residual_trajectory=tuple(trajectory),
-            batch_size=batch_size, batch_occupancy=occupancy,
-            pattern_reuse_hits=reuse_hits))
+    per_design_stats = [
+        _dc_stats(info, b, batch_size=batch_size, batch_occupancy=occupancy,
+                  pattern_reuse_hits=reuse_hits)
+        for b in range(batch_size)]
     if telemetry.enabled():
         for stats in per_design_stats:
             telemetry.record_solve(stats)
@@ -702,26 +698,15 @@ def dc_operating_point_batch(circuits, temperature=27.0,
                               telemetry.FRACTION_BUCKETS)
         telemetry.inc("repro_pattern_reuse_total", reuse_hits)
 
-    if raise_on_failure and not converged.all():
-        failures = indices[~converged]
-        titles = [circuits[i].title for i in failures]
+    failures = [b for b, stats in enumerate(per_design_stats)
+                if not stats.converged]
+    if raise_on_failure and failures:
+        first_failure = failures[0]
         raise ConvergenceError(
-            f"batched DC analysis: {len(titles)} of {batch_size} designs did "
-            f"not converge (first failure: {titles[0]!r} "
-            f"{per_design_stats[failures[0]].failure_detail()})")
-
-    results = []
-    for b, circuit in enumerate(circuits):
-        solution = voltages[b].copy()
-        celsius = float(temperatures[b])
-        node_voltages = {name: float(solution[index])
-                         for name, index in zip(circuit.nodes,
-                                                range(circuit.n_nodes))}
-        device_info = {device.name: device.operating_info(solution, celsius)
-                       for device in circuit.devices}
-        results.append(OperatingPoint(
-            voltages=solution, node_voltages=node_voltages,
-            device_info=device_info, converged=bool(converged[b]),
-            iterations=int(total_iterations[b]), temperature=celsius,
-            stats=per_design_stats[b]))
-    return results
+            f"batched DC analysis: {len(failures)} of {batch_size} designs "
+            f"did not converge (first failure: "
+            f"{circuits[first_failure].title!r} "
+            f"{per_design_stats[first_failure].failure_detail()})")
+    return [_operating_point(circuit, voltages[b], float(temperatures[b]),
+                             per_design_stats[b])
+            for b, circuit in enumerate(circuits)]

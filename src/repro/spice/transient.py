@@ -19,21 +19,26 @@ classic SPICE recipe:
 time-domain measurements the sizing problems use as figures of merit: slew
 rate, settling time and overshoot of a step response.
 
-:func:`transient_analysis_batch` runs the same integration on ``B``
-topology-identical circuits at once.  Every design keeps its *own* adaptive
-controller (time, timestep, integration method, LTE history, breakpoint
-cursor) stepping exactly as the serial controller would, while the per-step
-Newton solves of all in-flight designs are batched: one
-``stamp_transient_batch`` pass per device column (see
-:mod:`repro.spice.devices.base`) assembles a ``(B, size, size)`` tensor --
-or a shared-pattern sparse batch whose symbolic analysis is computed once --
-and a single stacked solve advances every design.  Because each design's
-controller decisions depend only on its own iterate sequence, batched
-results are bit-identical to serial runs of each design alone.
+:class:`_TranDesign` is the one timestep controller (time, timestep,
+integration method, LTE history, breakpoint cursor, give-ups, statistics and
+result assembly).  Two entry points run it over two Newton kernels:
+
+* :func:`transient_analysis` solves each step of one circuit with the
+  scalar kernel (:func:`_newton_transient`, one reused stamper);
+* :func:`transient_analysis_batch` gives each of ``B`` topology-identical
+  circuits its *own* controller, stepping exactly as it would alone, while
+  the per-step Newton solves of all in-flight designs are batched: one
+  ``stamp_transient_batch`` pass per device column (see
+  :mod:`repro.spice.devices.base`) assembles a ``(B, size, size)`` tensor --
+  or a shared-pattern sparse batch whose symbolic analysis is computed once
+  -- and a single stacked solve advances every design.  Because each
+  design's controller decisions depend only on its own iterate sequence,
+  batched results are bit-identical to serial runs of each design alone.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,12 +47,13 @@ from repro import telemetry
 from repro.errors import ConvergenceError
 from repro.spice.dc import (
     OperatingPoint,
+    _StackedAssembler,
     _check_batch_topology,
     _resolve_solver,
+    _solve_rows_individually,
     dc_operating_point,
     dc_operating_point_batch,
 )
-from repro.spice.mna import BatchStamper, SparseBatchStamper
 from repro.spice.netlist import Circuit
 from repro.telemetry import SolveStats
 
@@ -265,6 +271,23 @@ def _check_op_temperature(temperature: float, op: OperatingPoint) -> None:
             "temperature= or solve the operating point at it")
 
 
+@contextmanager
+def _waveforms_at_start(circuits):
+    """Hold every waveform source at its t = 0 value, restoring ``dc``."""
+    overridden = []
+    try:
+        for circuit in circuits:
+            for device in circuit.devices:
+                waveform = getattr(device, "waveform", None)
+                if waveform is not None:
+                    overridden.append((device, device.dc))
+                    device.dc = waveform.value_at(0.0)
+        yield
+    finally:
+        for device, dc in overridden:
+            device.dc = dc
+
+
 def transient_operating_point(circuit: Circuit, temperature: float = 27.0,
                               ) -> OperatingPoint:
     """DC solution with every waveform source held at its t = 0 value.
@@ -273,33 +296,249 @@ def transient_operating_point(circuit: Circuit, temperature: float = 27.0,
     away from its ``dc`` attribute (e.g. a step from a low level) must be
     biased at the waveform's starting value, not at the AC-testbench bias.
     """
-    overridden = []
-    for device in circuit.devices:
-        waveform = getattr(device, "waveform", None)
-        if waveform is not None:
-            overridden.append((device, device.dc))
-            device.dc = waveform.value_at(0.0)
-    try:
+    with _waveforms_at_start([circuit]):
         return dc_operating_point(circuit, temperature=temperature)
-    finally:
-        for device, dc in overridden:
-            device.dc = dc
 
 
-def _initial_condition_message(title: str, operating_point: OperatingPoint,
-                               ) -> str:
-    """The (enriched) failed-initial-condition message, serial == batched.
+def transient_operating_point_batch(circuits, temperature=27.0,
+                                    ) -> list[OperatingPoint]:
+    """Batched :func:`transient_operating_point`.
 
-    Both paths receive operating points whose :class:`SolveStats` hold
-    bit-identical residual/gmin/iteration values (the DC batch contract),
-    so the formatted detail is string-identical; an externally built
-    operating point without stats keeps the bare legacy message.
+    Every waveform source in every circuit is held at its t = 0 value while
+    :func:`repro.spice.dc.dc_operating_point_batch` solves the whole batch;
+    the ``dc`` attributes are restored afterwards.  ``temperature`` may be a
+    scalar or a length-``B`` array.
     """
-    message = f"transient initial condition of {title!r} did not converge"
-    stats = getattr(operating_point, "stats", None)
-    if stats is not None:
-        message = f"{message} {stats.failure_detail()}"
-    return message
+    circuits = list(circuits)
+    with _waveforms_at_start(circuits):
+        return dc_operating_point_batch(circuits, temperature=temperature)
+
+
+@dataclass(frozen=True)
+class _TranSettings:
+    """Controller options shared by every design of a sweep."""
+
+    t_stop: float
+    dt_initial: float
+    dt_min: float
+    dt_max: float
+    reltol: float
+    abstol: float
+    max_steps: int
+    #: Time tolerance for reaching ``t_stop`` and landing on breakpoints.
+    eps: float
+
+    @classmethod
+    def resolve(cls, t_stop: float, dt_initial: float | None,
+                dt_min: float | None, dt_max: float | None, reltol: float,
+                abstol: float, max_steps: int) -> "_TranSettings":
+        """Validate ``t_stop`` and fill in the timestep defaults."""
+        if t_stop <= 0.0:
+            raise ValueError(f"t_stop must be positive, got {t_stop}")
+        return cls(
+            t_stop=t_stop,
+            dt_initial=(t_stop * 1e-4 if dt_initial is None
+                        else float(dt_initial)),
+            dt_min=t_stop * 1e-12 if dt_min is None else float(dt_min),
+            dt_max=t_stop / 50.0 if dt_max is None else float(dt_max),
+            reltol=reltol, abstol=abstol, max_steps=max_steps,
+            eps=t_stop * 1e-12)
+
+
+class _TranDesign:
+    """The adaptive timestep controller of one design's transient sweep.
+
+    A caller runs :meth:`begin` once, then repeatedly runs Newton on the
+    attempt it describes (``t_new``, ``dt``, ``method``, warm start
+    ``solution``), stores the outcome in ``iterate``, ``attempt_iterations``
+    and ``attempt_residual``, adds the iterations to ``n_newton`` and calls
+    :meth:`finish`, until ``finished`` is set or ``error`` holds the
+    controller's give-up.
+    """
+
+    __slots__ = ("index", "circuit", "temperature", "settings", "states",
+                 "t", "dt", "solution", "times", "solutions", "history",
+                 "breakpoints", "next_break", "n_accepted", "n_rejected",
+                 "n_newton", "t_new", "method", "hit_break", "iterate",
+                 "attempt_iterations", "attempt_residual", "dt_smallest",
+                 "dt_largest", "finished", "error")
+
+    def __init__(self, circuit: Circuit, operating_point: OperatingPoint,
+                 temperature: float, settings: _TranSettings, index: int = 0):
+        self.index = index
+        self.circuit = circuit
+        self.temperature = temperature
+        self.settings = settings
+        self.t = 0.0
+        self.times: list[float] = [0.0]
+        self.next_break = 0
+        self.n_accepted = 0
+        self.n_rejected = 0
+        self.n_newton = 0
+        self.attempt_iterations = 0
+        self.attempt_residual = float("nan")
+        self.dt_smallest = float("inf")
+        self.dt_largest = 0.0
+        self.finished = False
+        self.error: Exception | None = None
+        self.states: dict[str, dict] | None = None
+        if not operating_point.converged:
+            # An operating point built outside the DC solvers may carry no
+            # stats; it keeps the bare message.
+            message = (f"transient initial condition of {circuit.title!r} "
+                       "did not converge")
+            if operating_point.stats is not None:
+                message = f"{message} {operating_point.stats.failure_detail()}"
+            self.error = ConvergenceError(message)
+            return
+        self.states = circuit.init_transient_states(operating_point,
+                                                    temperature)
+        self.solution = operating_point.voltages.copy()
+        self.solutions = [self.solution.copy()]
+        # Accepted (t, solution) history for the divided-difference LTE
+        # estimate; reset at every breakpoint so the estimate never spans a
+        # discontinuity.
+        self.history = [(0.0, self.solution.copy())]
+        self.breakpoints = _collect_breakpoints(circuit, settings.t_stop)
+        self.dt = min(settings.dt_initial, settings.dt_max,
+                      self.breakpoints[0])
+
+    def begin(self) -> None:
+        """Set up the next step attempt, or give up past ``max_steps``."""
+        settings = self.settings
+        if self.n_accepted + self.n_rejected >= settings.max_steps:
+            self.error = ConvergenceError(
+                f"transient analysis of {self.circuit.title!r} exceeded "
+                f"{settings.max_steps} steps at t={self.t:.3e}s "
+                f"({self.n_accepted} accepted, {self.n_rejected} rejected)")
+            return
+        while self.breakpoints[self.next_break] <= self.t + settings.eps:
+            self.next_break += 1
+        self.dt = min(self.dt, settings.dt_max, settings.t_stop - self.t)
+        self.hit_break = (self.t + self.dt
+                          >= self.breakpoints[self.next_break] - settings.eps)
+        if self.hit_break:
+            self.dt = self.breakpoints[self.next_break] - self.t
+        # Backward Euler until three accepted points exist past the last
+        # breakpoint, trapezoidal afterwards.
+        self.method = "be" if len(self.history) < 3 else "trap"
+        self.t_new = self.t + self.dt
+        # The scalar stamp loop injects time/method into every device state
+        # on each Newton iteration with these exact values; the batched
+        # assembly reads them from here.
+        for state in self.states.values():
+            state["time"] = self.t_new
+            state["method"] = self.method
+        self.iterate = self.solution.copy()
+        self.attempt_iterations = 0
+        self.attempt_residual = float("nan")
+
+    def finish(self, converged: bool) -> None:
+        """Accept or reject the attempt in ``iterate``, then begin the next."""
+        settings = self.settings
+        if not converged:
+            self.n_rejected += 1
+            self.dt *= 0.25
+            if self.dt < settings.dt_min:
+                self.error = ConvergenceError(
+                    f"transient Newton iteration of {self.circuit.title!r} "
+                    f"failed at t={self.t_new:.3e}s with dt={self.dt:.3e}s "
+                    f"after {self.attempt_iterations} iterations "
+                    f"(residual={self.attempt_residual:.3e})")
+                return
+            self.begin()
+            return
+
+        # Local-truncation-error estimate from divided differences of the
+        # accepted history plus the candidate point.  BE error ~
+        # (dt^2/2) v'' with v'' ~ 2*DD2; trapezoidal error ~ (dt^3/12)
+        # v''' with v''' ~ 6*DD3.
+        new_solution = self.iterate
+        n_nodes = self.circuit.n_nodes
+        error_ratio = None
+        if len(self.history) >= 2:
+            order = 3 if self.method == "trap" else 2
+            sample = self.history[-order:] + [(self.t_new, new_solution)]
+            dd = _divided_difference([s[0] for s in sample],
+                                     [s[1][:n_nodes] for s in sample])
+            lte = (0.5 * self.dt**3 * np.abs(dd) if self.method == "trap"
+                   else self.dt**2 * np.abs(dd))
+            tolerance = (settings.reltol * np.maximum(
+                np.abs(new_solution[:n_nodes]),
+                np.abs(self.solution[:n_nodes])) + settings.abstol)
+            error_ratio = float(np.max(lte / tolerance))
+            if error_ratio > 1.0:
+                self.n_rejected += 1
+                self.dt *= max(0.1, 0.9 * error_ratio ** (-1.0 / order))
+                if self.dt < settings.dt_min:
+                    self.error = ConvergenceError(
+                        f"transient timestep of {self.circuit.title!r} "
+                        f"underflowed at t={self.t_new:.3e}s (LTE never "
+                        f"satisfied) ({self.n_accepted} accepted, "
+                        f"{self.n_rejected} rejected)")
+                    return
+                self.begin()
+                return
+
+        self.circuit.commit_transient(new_solution, self.states, self.dt,
+                                      self.temperature)
+        if self.dt < self.dt_smallest:
+            self.dt_smallest = self.dt
+        if self.dt > self.dt_largest:
+            self.dt_largest = self.dt
+        self.t = self.t_new
+        self.solution = new_solution
+        self.n_accepted += 1
+        self.times.append(self.t)
+        self.solutions.append(self.solution.copy())
+        self.history.append((self.t, self.solution.copy()))
+        if len(self.history) > 3:
+            self.history.pop(0)
+
+        if self.hit_break:
+            # Restart integration behind the corner: BE, small steps, and an
+            # LTE history that does not bridge the discontinuity.
+            self.history = [(self.t, self.solution.copy())]
+            self.dt = min(settings.dt_initial, settings.dt_max)
+        elif error_ratio is None:
+            self.dt = min(self.dt * 2.0, settings.dt_max)
+        else:
+            order = 3 if self.method == "trap" else 2
+            factor = 0.9 * max(error_ratio, 1e-10) ** (-1.0 / order)
+            self.dt = min(self.dt * min(2.0, max(0.3, factor)),
+                          settings.dt_max)
+
+        if self.t < settings.t_stop - settings.eps:
+            self.begin()
+        else:
+            self.finished = True
+
+    def stats(self, **batch) -> SolveStats:
+        """This sweep's :class:`SolveStats`, failed when ``error`` is set."""
+        # A failed sweep reports no timestep range.
+        stepped = self.error is None and self.n_accepted
+        return SolveStats(
+            analysis="transient", converged=self.error is None,
+            iterations=self.n_newton, n_accepted=self.n_accepted,
+            n_rejected=self.n_rejected, final_residual=self.attempt_residual,
+            final_gmin=_TRANSIENT_GMIN,
+            dt_min=self.dt_smallest if stepped else float("nan"),
+            dt_max=self.dt_largest if stepped else float("nan"), **batch)
+
+    def result(self, observed: list[str], stats: SolveStats,
+               ) -> TransientResult:
+        """The accepted waveforms of the ``observed`` nodes."""
+        times = np.array(self.times)
+        stacked = np.stack(self.solutions, axis=0)
+        responses: dict[str, np.ndarray] = {}
+        for node in observed:
+            index = self.circuit.node_index(node)
+            responses[node] = (np.zeros(times.shape[0]) if index < 0
+                               else stacked[:, index].copy())
+        return TransientResult(times=times, node_voltages=responses,
+                               n_accepted=self.n_accepted,
+                               n_rejected=self.n_rejected,
+                               n_newton_iterations=self.n_newton, stats=stats)
 
 
 def transient_analysis(circuit: Circuit, t_stop: float,
@@ -353,8 +592,8 @@ def transient_analysis(circuit: Circuit, t_stop: float,
         When the controller underflows ``dt_min`` (Newton repeatedly failing
         or the error estimate never satisfied) or exceeds ``max_steps``.
     """
-    if t_stop <= 0.0:
-        raise ValueError(f"t_stop must be positive, got {t_stop}")
+    settings = _TranSettings.resolve(t_stop, dt_initial, dt_min, dt_max,
+                                     reltol, abstol, max_steps)
     if temperature is None:
         temperature = (operating_point.temperature
                        if operating_point is not None else 27.0)
@@ -363,192 +602,44 @@ def transient_analysis(circuit: Circuit, t_stop: float,
     circuit.ensure_indices()
     observed = list(observe) if observe is not None else circuit.nodes
     solver = _resolve_solver(circuit.n_nodes + circuit.n_branches, solver)
-    dt_initial = t_stop * 1e-4 if dt_initial is None else float(dt_initial)
-    dt_min = t_stop * 1e-12 if dt_min is None else float(dt_min)
-    dt_max = t_stop / 50.0 if dt_max is None else float(dt_max)
 
     if operating_point is None:
         operating_point = transient_operating_point(circuit, temperature)
-    if not operating_point.converged:
-        raise ConvergenceError(_initial_condition_message(circuit.title,
-                                                          operating_point))
-
-    states = circuit.init_transient_states(operating_point, temperature)
-    n_nodes = circuit.n_nodes
-    eps = t_stop * 1e-12
+    design = _TranDesign(circuit, operating_point, temperature, settings)
+    if design.error is not None:  # the initial condition did not converge
+        raise design.error
     # One stamper for the whole sweep: every Newton iteration of every step
     # resets and restamps it in place instead of reallocating.
     stamper = circuit.make_dc_stamper(solver)
-
-    t = 0.0
-    solution = operating_point.voltages.copy()
-    times = [0.0]
-    solutions = [solution.copy()]
-    # Accepted (t, solution) history for the divided-difference LTE estimate;
-    # reset at every breakpoint so the estimate never spans a discontinuity.
-    history: list[tuple[float, np.ndarray]] = [(0.0, solution.copy())]
-
-    breakpoints = _collect_breakpoints(circuit, t_stop)
-    next_break = 0
-    dt = min(dt_initial, dt_max, breakpoints[0])
-    n_accepted = n_rejected = n_newton = 0
-    residual = float("nan")
-    dt_smallest = float("inf")
-    dt_largest = 0.0
-
-    def _fail(message: str) -> ConvergenceError:
-        """Record the failed solve in the registry, then build the error."""
-        if telemetry.enabled():
-            telemetry.record_solve(SolveStats(
-                analysis="transient", converged=False, iterations=n_newton,
-                n_accepted=n_accepted, n_rejected=n_rejected,
-                final_residual=residual, final_gmin=_TRANSIENT_GMIN))
-        return ConvergenceError(message)
-
-    span = telemetry.span("spice.transient", circuit=circuit.title)
-    with span:
-        while t < t_stop - eps:
-            if n_accepted + n_rejected >= max_steps:
-                raise _fail(
-                    f"transient analysis of {circuit.title!r} exceeded "
-                    f"{max_steps} steps at t={t:.3e}s "
-                    f"({n_accepted} accepted, {n_rejected} rejected)")
-            while breakpoints[next_break] <= t + eps:
-                next_break += 1
-            dt = min(dt, dt_max, t_stop - t)
-            hit_break = t + dt >= breakpoints[next_break] - eps
-            if hit_break:
-                dt = breakpoints[next_break] - t
-            # Backward Euler until three accepted points exist past the last
-            # breakpoint, trapezoidal afterwards.
-            method = "be" if len(history) < 3 else "trap"
-            t_new = t + dt
-
-            new_solution, converged, iterations, residual = _newton_transient(
-                circuit, states, solution, t_new, dt, method, temperature,
-                _TRANSIENT_GMIN, max_newton_iterations, newton_tolerance,
-                damping, stamper=stamper)
-            n_newton += iterations
-            if not converged:
-                n_rejected += 1
-                dt *= 0.25
-                if dt < dt_min:
-                    raise _fail(
-                        f"transient Newton iteration of {circuit.title!r} "
-                        f"failed at t={t_new:.3e}s with dt={dt:.3e}s after "
-                        f"{iterations} iterations (residual={residual:.3e})")
-                continue
-
-            # Local-truncation-error estimate from divided differences of the
-            # accepted history plus the candidate point.  BE error ~
-            # (dt^2/2) v'' with v'' ~ 2*DD2; trapezoidal error ~ (dt^3/12)
-            # v''' with v''' ~ 6*DD3.
-            error_ratio = None
-            if len(history) >= 2:
-                order = 3 if method == "trap" else 2
-                sample = history[-order:] + [(t_new, new_solution)]
-                dd = _divided_difference([s[0] for s in sample],
-                                         [s[1][:n_nodes] for s in sample])
-                lte = (0.5 * dt**3 * np.abs(dd) if method == "trap"
-                       else dt**2 * np.abs(dd))
-                tolerance = (reltol * np.maximum(
-                    np.abs(new_solution[:n_nodes]),
-                    np.abs(solution[:n_nodes])) + abstol)
-                error_ratio = float(np.max(lte / tolerance))
-                if error_ratio > 1.0:
-                    n_rejected += 1
-                    dt *= max(0.1, 0.9 * error_ratio ** (-1.0 / order))
-                    if dt < dt_min:
-                        raise _fail(
-                            f"transient timestep of {circuit.title!r} "
-                            f"underflowed at t={t_new:.3e}s (LTE never "
-                            f"satisfied) ({n_accepted} accepted, "
-                            f"{n_rejected} rejected)")
-                    continue
-
-            circuit.commit_transient(new_solution, states, dt, temperature)
-            if dt < dt_smallest:
-                dt_smallest = dt
-            if dt > dt_largest:
-                dt_largest = dt
-            t = t_new
-            solution = new_solution
-            n_accepted += 1
-            times.append(t)
-            solutions.append(solution.copy())
-            history.append((t, solution.copy()))
-            if len(history) > 3:
-                history.pop(0)
-
-            if hit_break:
-                # Restart integration behind the corner: BE, small steps, and
-                # an LTE history that does not bridge the discontinuity.
-                history = [(t, solution.copy())]
-                dt = min(dt_initial, dt_max)
-            elif error_ratio is None:
-                dt = min(dt * 2.0, dt_max)
-            else:
-                order = 3 if method == "trap" else 2
-                factor = 0.9 * max(error_ratio, 1e-10) ** (-1.0 / order)
-                dt = min(dt * min(2.0, max(0.3, factor)), dt_max)
-
-    stats = SolveStats(
-        analysis="transient", converged=True, iterations=n_newton,
-        n_accepted=n_accepted, n_rejected=n_rejected,
-        final_residual=residual, final_gmin=_TRANSIENT_GMIN,
-        dt_min=dt_smallest if n_accepted else float("nan"),
-        dt_max=dt_largest if n_accepted else float("nan"))
+    with telemetry.span("spice.transient", circuit=circuit.title):
+        design.begin()
+        while design.error is None and not design.finished:
+            (design.iterate, converged, design.attempt_iterations,
+             design.attempt_residual) = _newton_transient(
+                circuit, design.states, design.solution, design.t_new,
+                design.dt, design.method, temperature, _TRANSIENT_GMIN,
+                max_newton_iterations, newton_tolerance, damping,
+                stamper=stamper)
+            design.n_newton += design.attempt_iterations
+            design.finish(converged)
+        if design.error is not None:
+            telemetry.record_solve(design.stats())
+            raise design.error
+    stats = design.stats()
     telemetry.record_solve(stats)
-    times_array = np.array(times)
-    stacked = np.stack(solutions, axis=0)
-    responses: dict[str, np.ndarray] = {}
-    for node in observed:
-        index = circuit.node_index(node)
-        responses[node] = (np.zeros(times_array.shape[0]) if index < 0
-                           else stacked[:, index].copy())
-    return TransientResult(times=times_array, node_voltages=responses,
-                           n_accepted=n_accepted, n_rejected=n_rejected,
-                           n_newton_iterations=n_newton, stats=stats)
+    return design.result(observed, stats)
 
 
 # --------------------------------------------------------------------- #
 # batched transient                                                      #
 # --------------------------------------------------------------------- #
-def transient_operating_point_batch(circuits, temperature=27.0,
-                                    ) -> list[OperatingPoint]:
-    """Batched :func:`transient_operating_point`.
-
-    Every waveform source in every circuit is held at its t = 0 value while
-    :func:`repro.spice.dc.dc_operating_point_batch` solves the whole batch;
-    the ``dc`` attributes are restored afterwards.  ``temperature`` may be a
-    scalar or a length-``B`` array.
-    """
-    circuits = list(circuits)
-    overridden = []
-    try:
-        for circuit in circuits:
-            for device in circuit.devices:
-                waveform = getattr(device, "waveform", None)
-                if waveform is not None:
-                    overridden.append((device, device.dc))
-                    device.dc = waveform.value_at(0.0)
-        return dc_operating_point_batch(circuits, temperature=temperature)
-    finally:
-        for device, dc in overridden:
-            device.dc = dc
-
-
-class _TranBatchAssembler:
+class _TranBatchAssembler(_StackedAssembler):
     """Assembles the batched companion-model system for active designs.
 
-    Transient analogue of :class:`repro.spice.dc._BatchAssembler`: the batch
-    is transposed into per-device sibling columns, each device's vectorized
-    ``transient_batch_context`` is precomputed over the *full* batch, and
-    arbitrary in-flight subsets stamp by slicing those contexts row-wise.
-    The dense :class:`BatchStamper` / sparse :class:`SparseBatchStamper` are
-    cached across Newton iterations, so the sparse triplet pattern locks
-    after the first assembly and its symbolic analysis (column ordering and
-    the CSR-to-CSC mapping) is shared by every subsequent factorization.
+    Transient analogue of :class:`repro.spice.dc._BatchAssembler`: each
+    device's vectorized ``transient_batch_context`` is precomputed over the
+    *full* batch, and arbitrary in-flight subsets stamp by slicing those
+    contexts row-wise.
     """
 
     #: Gather memo bound: distinct active sets over a transient run scale
@@ -559,18 +650,7 @@ class _TranBatchAssembler:
 
     def __init__(self, circuits: list[Circuit], temperatures: np.ndarray,
                  states_by_design: list, solver: str):
-        first = circuits[0]
-        self.n_nodes = first.n_nodes
-        self.n_branches = first.n_branches
-        self.size = self.n_nodes + self.n_branches
-        self.temperatures = temperatures
-        self.solver = solver
-        # Telemetry counters, mirroring the DC assembler's.
-        self.total_designs = len(circuits)
-        self.assemblies = 0
-        self.active_rows = 0
-        self.columns = [tuple(circuit.devices[position] for circuit in circuits)
-                        for position in range(len(first.devices))]
+        super().__init__(circuits, temperatures, solver)
         self.contexts = [column[0].transient_batch_context(list(column),
                                                           temperatures)
                         for column in self.columns]
@@ -583,9 +663,6 @@ class _TranBatchAssembler:
              else states_by_design[b][column[0].name]
              for b in range(len(circuits))]
             for column in self.columns]
-        self._gather_cache: dict[bytes, tuple] = {}
-        self._dense_stamper: BatchStamper | None = None
-        self._sparse_stamper: SparseBatchStamper | None = None
 
     def _gather(self, indices: np.ndarray) -> tuple:
         key = indices.tobytes()
@@ -607,40 +684,10 @@ class _TranBatchAssembler:
             self._gather_cache[key] = cached
         return cached
 
-    @property
-    def occupancy(self) -> float:
-        """Mean fraction of the batch in flight per assembled iteration."""
-        if not self.assemblies:
-            return float("nan")
-        return self.active_rows / (self.assemblies * self.total_designs)
-
-    @property
-    def pattern_reuse_hits(self) -> int:
-        stamper = self._sparse_stamper
-        return stamper.pattern_reuse_hits if stamper is not None else 0
-
     def assemble(self, indices: np.ndarray, voltages: np.ndarray,
                  times: np.ndarray, dts: np.ndarray, trap: np.ndarray):
         """Stamp the in-flight designs ``indices`` at their Newton iterates."""
-        batch_size = len(indices)
-        self.assemblies += 1
-        self.active_rows += batch_size
-        if self.solver == "sparse":
-            stamper = self._sparse_stamper
-            if stamper is None or stamper.batch_size != batch_size:
-                stamper = SparseBatchStamper(
-                    batch_size, self.n_nodes, self.n_branches)
-                self._sparse_stamper = stamper
-            else:
-                stamper.reset()
-        else:
-            stamper = self._dense_stamper
-            if stamper is None or stamper.batch_size != batch_size:
-                stamper = BatchStamper(batch_size, self.n_nodes,
-                                       self.n_branches)
-                self._dense_stamper = stamper
-            else:
-                stamper.reset()
+        stamper = self._stamper(len(indices))
         siblings, contexts, states, temperatures = self._gather(indices)
         # One errstate frame for the whole stamp loop, like the DC assembler.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -652,65 +699,6 @@ class _TranBatchAssembler:
         # unconditional -- which also keeps the locked sparse pattern stable.
         stamper.add_gmin(_TRANSIENT_GMIN)
         return stamper
-
-
-def _solve_rows_transient(stamper, size: int, errors: list) -> np.ndarray:
-    """Per-design transient solve fallback after a singular stacked solve.
-
-    Replicates the serial chain per design: direct solve, then
-    least-squares.  Serially a least-squares failure would propagate out of
-    the analysis; here it is recorded in ``errors`` (aligned with the active
-    designs) and the row is left NaN for the finite check to catch.
-    """
-    out = np.empty((stamper.batch_size, size))
-    for b in range(stamper.batch_size):
-        try:
-            out[b] = stamper.solve_design(b)
-        except np.linalg.LinAlgError:
-            try:
-                out[b] = stamper.solve_lstsq_design(b)
-            except np.linalg.LinAlgError as exc:
-                errors[b] = exc
-                out[b] = np.nan
-    return out
-
-
-class _TranDesign:
-    """Controller state of one design inside a batched transient sweep."""
-
-    __slots__ = ("index", "circuit", "temperature", "states", "t", "dt",
-                 "solution", "times", "solutions", "history", "breakpoints",
-                 "next_break", "n_accepted", "n_rejected", "n_newton",
-                 "t_new", "method", "hit_break", "iterate",
-                 "attempt_iterations", "attempt_residual", "dt_smallest",
-                 "dt_largest", "finished", "error")
-
-    def __init__(self, index: int, circuit: Circuit, temperature: float):
-        self.index = index
-        self.circuit = circuit
-        self.temperature = temperature
-        self.states: dict[str, dict] | None = None
-        self.t = 0.0
-        self.dt = 0.0
-        self.solution: np.ndarray | None = None
-        self.times: list[float] = [0.0]
-        self.solutions: list[np.ndarray] = []
-        self.history: list[tuple[float, np.ndarray]] = []
-        self.breakpoints: list[float] = []
-        self.next_break = 0
-        self.n_accepted = 0
-        self.n_rejected = 0
-        self.n_newton = 0
-        self.t_new = 0.0
-        self.method = "be"
-        self.hit_break = False
-        self.iterate: np.ndarray | None = None
-        self.attempt_iterations = 0
-        self.attempt_residual = float("nan")
-        self.dt_smallest = float("inf")
-        self.dt_largest = 0.0
-        self.finished = False
-        self.error: Exception | None = None
 
 
 def transient_analysis_batch(circuits, t_stop: float,
@@ -729,9 +717,9 @@ def transient_analysis_batch(circuits, t_stop: float,
                              return_errors: bool = False) -> list:
     """Transient analysis of ``B`` topology-identical circuits at once.
 
-    Each design runs the exact serial timestep controller -- its own time,
-    timestep, BE/trap switching, LTE accept/reject decisions and breakpoint
-    schedule -- but the Newton solves of all in-flight designs are batched:
+    Each design runs its own :class:`_TranDesign` controller -- the one
+    :func:`transient_analysis` runs -- but the Newton solves of all
+    in-flight designs are batched:
     one stacked assembly and solve per iteration.  Designs step
     *asynchronously* (one may be on its 40th accepted step while another is
     still rejecting its 2nd); a design leaves the batch only when it reaches
@@ -764,8 +752,8 @@ def transient_analysis_batch(circuits, t_stop: float,
     circuits = list(circuits)
     if not circuits:
         return []
-    if t_stop <= 0.0:
-        raise ValueError(f"t_stop must be positive, got {t_stop}")
+    settings = _TranSettings.resolve(t_stop, dt_initial, dt_min, dt_max,
+                                     reltol, abstol, max_steps)
     _check_batch_topology(circuits)
     first = circuits[0]
     size = first.n_nodes + first.n_branches
@@ -799,130 +787,14 @@ def transient_analysis_batch(circuits, t_stop: float,
                                                            temperatures)
 
     observed = list(observe) if observe is not None else first.nodes
-    dt_initial = t_stop * 1e-4 if dt_initial is None else float(dt_initial)
-    dt_min = t_stop * 1e-12 if dt_min is None else float(dt_min)
-    dt_max = t_stop / 50.0 if dt_max is None else float(dt_max)
-    n_nodes = first.n_nodes
-    eps = t_stop * 1e-12
-
-    designs = [_TranDesign(b, circuit, float(temperatures[b]))
-               for b, circuit in enumerate(circuits)]
-    states_by_design: list = [None] * batch_size
-    for d, op in zip(designs, operating_points):
-        if not op.converged:
-            d.error = ConvergenceError(
-                _initial_condition_message(d.circuit.title, op))
-            continue
-        d.states = d.circuit.init_transient_states(op, d.temperature)
-        states_by_design[d.index] = d.states
-        d.solution = op.voltages.copy()
-        d.solutions = [d.solution.copy()]
-        d.history = [(0.0, d.solution.copy())]
-        d.breakpoints = _collect_breakpoints(d.circuit, t_stop)
-        d.dt = min(dt_initial, dt_max, d.breakpoints[0])
-
-    assembler = _TranBatchAssembler(circuits, temperatures, states_by_design,
-                                    solver)
-
-    def _begin_attempt(d: _TranDesign) -> None:
-        """Serial loop-top bookkeeping for one design's next step attempt."""
-        if d.n_accepted + d.n_rejected >= max_steps:
-            d.error = ConvergenceError(
-                f"transient analysis of {d.circuit.title!r} exceeded "
-                f"{max_steps} steps at t={d.t:.3e}s "
-                f"({d.n_accepted} accepted, {d.n_rejected} rejected)")
-            return
-        while d.breakpoints[d.next_break] <= d.t + eps:
-            d.next_break += 1
-        d.dt = min(d.dt, dt_max, t_stop - d.t)
-        d.hit_break = d.t + d.dt >= d.breakpoints[d.next_break] - eps
-        if d.hit_break:
-            d.dt = d.breakpoints[d.next_break] - d.t
-        d.method = "be" if len(d.history) < 3 else "trap"
-        d.t_new = d.t + d.dt
-        # The serial stamp loop injects time/method into every device state
-        # on each Newton iteration with these exact values; once per attempt
-        # is observationally identical.
-        for state in d.states.values():
-            state["time"] = d.t_new
-            state["method"] = d.method
-        d.iterate = d.solution.copy()
-        d.attempt_iterations = 0
-        d.attempt_residual = float("nan")
-
-    def _finish_attempt(d: _TranDesign, converged: bool) -> None:
-        """The serial post-Newton controller for one design's attempt."""
-        new_solution = d.iterate
-        if not converged:
-            d.n_rejected += 1
-            d.dt *= 0.25
-            if d.dt < dt_min:
-                d.error = ConvergenceError(
-                    f"transient Newton iteration of {d.circuit.title!r} "
-                    f"failed at t={d.t_new:.3e}s with dt={d.dt:.3e}s after "
-                    f"{d.attempt_iterations} iterations "
-                    f"(residual={d.attempt_residual:.3e})")
-                return
-            _begin_attempt(d)
-            return
-        error_ratio = None
-        if len(d.history) >= 2:
-            order = 3 if d.method == "trap" else 2
-            sample = d.history[-order:] + [(d.t_new, new_solution)]
-            dd = _divided_difference([s[0] for s in sample],
-                                     [s[1][:n_nodes] for s in sample])
-            lte = (0.5 * d.dt**3 * np.abs(dd) if d.method == "trap"
-                   else d.dt**2 * np.abs(dd))
-            tolerance = (reltol * np.maximum(np.abs(new_solution[:n_nodes]),
-                                             np.abs(d.solution[:n_nodes]))
-                         + abstol)
-            error_ratio = float(np.max(lte / tolerance))
-            if error_ratio > 1.0:
-                d.n_rejected += 1
-                d.dt *= max(0.1, 0.9 * error_ratio ** (-1.0 / order))
-                if d.dt < dt_min:
-                    d.error = ConvergenceError(
-                        f"transient timestep of {d.circuit.title!r} "
-                        f"underflowed at t={d.t_new:.3e}s (LTE never "
-                        f"satisfied) ({d.n_accepted} accepted, "
-                        f"{d.n_rejected} rejected)")
-                    return
-                _begin_attempt(d)
-                return
-
-        d.circuit.commit_transient(new_solution, d.states, d.dt,
-                                   d.temperature)
-        if d.dt < d.dt_smallest:
-            d.dt_smallest = d.dt
-        if d.dt > d.dt_largest:
-            d.dt_largest = d.dt
-        d.t = d.t_new
-        d.solution = new_solution
-        d.n_accepted += 1
-        d.times.append(d.t)
-        d.solutions.append(d.solution.copy())
-        d.history.append((d.t, d.solution.copy()))
-        if len(d.history) > 3:
-            d.history.pop(0)
-
-        if d.hit_break:
-            d.history = [(d.t, d.solution.copy())]
-            d.dt = min(dt_initial, dt_max)
-        elif error_ratio is None:
-            d.dt = min(d.dt * 2.0, dt_max)
-        else:
-            order = 3 if d.method == "trap" else 2
-            factor = 0.9 * max(error_ratio, 1e-10) ** (-1.0 / order)
-            d.dt = min(d.dt * min(2.0, max(0.3, factor)), dt_max)
-
-        if d.t < t_stop - eps:
-            _begin_attempt(d)
-        else:
-            d.finished = True
-
+    designs = [_TranDesign(circuit, op, float(temperatures[b]), settings, b)
+               for b, (circuit, op) in enumerate(zip(circuits,
+                                                     operating_points))]
+    assembler = _TranBatchAssembler(circuits, temperatures,
+                                    [d.states for d in designs], solver)
     for d in designs:
         if d.error is None:
-            _begin_attempt(d)
+            d.begin()
     active = [d for d in designs if d.error is None and not d.finished]
 
     with telemetry.span("spice.transient_batch", batch=batch_size,
@@ -938,8 +810,8 @@ def transient_analysis_batch(circuits, t_stop: float,
             try:
                 new_voltages = stamper.solve()
             except np.linalg.LinAlgError:
-                new_voltages = _solve_rows_transient(stamper, assembler.size,
-                                                     solve_errors)
+                new_voltages = _solve_rows_individually(
+                    stamper, assembler.size, solve_errors)
             finite = np.isfinite(new_voltages).all(axis=1)
             delta = new_voltages - voltages
             step = np.clip(delta, -damping, damping)
@@ -948,64 +820,39 @@ def transient_analysis_batch(circuits, t_stop: float,
                 d.attempt_iterations += 1
                 d.n_newton += 1
                 if solve_errors[i] is not None:
+                    # The scalar kernel lets a least-squares failure escape.
                     d.error = solve_errors[i]
                 elif not finite[i]:
-                    # Serial bails without applying the update (and without
-                    # refreshing the attempt residual).
-                    _finish_attempt(d, False)
+                    # The scalar kernel bails without applying the update
+                    # (and without refreshing the attempt residual).
+                    d.finish(False)
                 else:
                     d.iterate = voltages[i] + step[i]
                     d.attempt_residual = float(np.max(np.abs(delta[i])))
                     if d.attempt_residual < newton_tolerance:
-                        _finish_attempt(d, True)
+                        d.finish(True)
                     elif d.attempt_iterations >= max_newton_iterations:
-                        _finish_attempt(d, False)
+                        d.finish(False)
                 if d.error is None and not d.finished:
                     still_active.append(d)
             active = still_active
 
     occupancy = assembler.occupancy
     reuse_hits = assembler.pattern_reuse_hits
-    record = telemetry.enabled()
-    if record:
+    if telemetry.enabled():
         if occupancy == occupancy:  # skip the no-assembly NaN
             telemetry.observe("repro_batch_occupancy", occupancy,
                               telemetry.FRACTION_BUCKETS)
         telemetry.inc("repro_pattern_reuse_total", reuse_hits)
     outcomes: list = []
     for d in designs:
-        if d.error is not None:
-            if record:
-                telemetry.record_solve(SolveStats(
-                    analysis="transient", converged=False,
-                    iterations=d.n_newton, n_accepted=d.n_accepted,
-                    n_rejected=d.n_rejected,
-                    final_residual=d.attempt_residual,
-                    final_gmin=_TRANSIENT_GMIN, batch_size=batch_size,
-                    batch_occupancy=occupancy))
-            if not return_errors:
-                raise d.error
+        stats = d.stats(batch_size=batch_size, batch_occupancy=occupancy,
+                        pattern_reuse_hits=reuse_hits)
+        telemetry.record_solve(stats)
+        if d.error is None:
+            outcomes.append(d.result(observed, stats))
+        elif return_errors:
             outcomes.append(d.error)
-            continue
-        stats = SolveStats(
-            analysis="transient", converged=True, iterations=d.n_newton,
-            n_accepted=d.n_accepted, n_rejected=d.n_rejected,
-            final_residual=d.attempt_residual, final_gmin=_TRANSIENT_GMIN,
-            dt_min=d.dt_smallest if d.n_accepted else float("nan"),
-            dt_max=d.dt_largest if d.n_accepted else float("nan"),
-            batch_size=batch_size, batch_occupancy=occupancy,
-            pattern_reuse_hits=reuse_hits)
-        if record:
-            telemetry.record_solve(stats)
-        times_array = np.array(d.times)
-        stacked = np.stack(d.solutions, axis=0)
-        responses: dict[str, np.ndarray] = {}
-        for node in observed:
-            index = d.circuit.node_index(node)
-            responses[node] = (np.zeros(times_array.shape[0]) if index < 0
-                               else stacked[:, index].copy())
-        outcomes.append(TransientResult(
-            times=times_array, node_voltages=responses,
-            n_accepted=d.n_accepted, n_rejected=d.n_rejected,
-            n_newton_iterations=d.n_newton, stats=stats))
+        else:
+            raise d.error
     return outcomes

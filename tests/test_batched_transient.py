@@ -395,3 +395,41 @@ class TestEnrichedInitialConditionMessages:
                                            return_errors=True)
         assert type(batched[0]) is ConvergenceError
         assert str(batched[0]) == str(excinfo.value)
+
+
+# ===================================================================== #
+# timestep-controller give-ups                                          #
+# ===================================================================== #
+class TestControllerGiveUps:
+    """Each way the controller gives up raises the same error on both paths.
+
+    The follower step response of the settling problem is pushed into every
+    give-up branch by a tight option: the step cap, an LTE tolerance no step
+    can meet, and a Newton budget no step can converge under.
+    """
+
+    T_STOP = 2e-6
+
+    @staticmethod
+    def _circuit():
+        problem = make_problem("two_stage_opamp_settling")
+        return problem.bench.builders["main"](
+            GOOD_DESIGNS["two_stage_opamp_settling"])
+
+    @pytest.mark.parametrize("options, fragment", [
+        (dict(max_steps=5), "exceeded 5 steps at t="),
+        (dict(reltol=1e-14, abstol=1e-16, dt_min=T_STOP * 1e-4),
+         "underflowed at t=2.006e-07s (LTE never satisfied)"),
+        (dict(max_newton_iterations=1, newton_tolerance=1e-30,
+              dt_min=T_STOP * 1e-4), "Newton iteration of 'two_stage_follower"
+                                     "_180nm' failed at t="),
+    ], ids=["max_steps", "lte_underflow", "newton_underflow"])
+    def test_give_up_message_identical(self, options, fragment):
+        with pytest.raises(ConvergenceError) as excinfo:
+            transient_analysis(self._circuit(), self.T_STOP, **options)
+        message = str(excinfo.value)
+        assert fragment in message
+        [batched] = transient_analysis_batch([self._circuit()], self.T_STOP,
+                                             return_errors=True, **options)
+        assert type(batched) is ConvergenceError
+        assert str(batched) == message
